@@ -11,6 +11,7 @@ success rate), 2 usage errors and infeasible requests.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -64,7 +65,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("json", "csv"), default="json")
 
 
-def _parse_messages(text: str, k: int | None = None) -> MessageSet:
+def _parse_messages(text: str) -> MessageSet:
     groups = [g for g in text.split(";") if g.strip()]
     msgs = tuple(tuple(int(v) for v in g.split(",")) for g in groups)
     return MessageSet(msgs)
@@ -118,6 +119,7 @@ def _make_code(args, cfg: RunConfig) -> LinearCode:
     raise ValueError(f"unknown code kind {kind!r}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="listlab", description=__doc__)
     sub = top.add_subparsers(dest="group", required=True)

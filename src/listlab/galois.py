@@ -119,7 +119,6 @@ class Field:
         # primitive, so 2 = "x" works immediately; the search keeps custom
         # irreducible-but-not-primitive moduli correct).
         for g in range(2, q):
-            seen = 1
             x = g
             order = 1
             while x != 1:

@@ -467,8 +467,7 @@ def _check_certificate_roundtrip(seed: int):
     if cert.verdict != VIOLATED:
         return False, "expected a violated instance"
     back = certificate_from_json(certificate_to_json(cert))
-    back.verify()
-    return True, "violated certificate re-verified after round trip"
+    return back.verify(), "violated certificate re-verified after round trip"
 
 
 def _check_entropy_concavity(seed: int):

@@ -25,9 +25,10 @@ from .linear_code import DEFAULT_CODEWORD_BUDGET, LinearCode, code_from_json_dic
 from .plurality import (
     DEFAULT_SCAN_BUDGET,
     DEFAULT_SUBSET_BUDGET,
+    _agreement_histograms,
+    _top_sums,
     agreement,
     agreement_block,
-    iter_received_blocks,
     plurality_mass,
 )
 from .seeds import rng_for
@@ -239,23 +240,19 @@ def is_list_decodable(
     t = query.agreement_threshold(n)
     bound = query.list_bound
 
-    def scan_block(block: np.ndarray):
-        agr = agreement_block(block, words)
-        counts = (agr >= t).sum(axis=1)
-        bad = np.nonzero(counts > bound)[0]
-        if not bad.size:
-            return None
-        pos = int(bad[0])
-        inside = np.nonzero(agr[pos] >= t)[0][: bound + 1]
+    def violation(z: np.ndarray, agr: np.ndarray):
+        inside = np.nonzero(agr >= t)[0][: bound + 1]
         return (
-            tuple(int(v) for v in block[pos]),
+            tuple(int(v) for v in z),
             tuple(tuple(int(v) for v in words[i]) for i in inside),
         )
 
     if sample_received is None:
-        for _, block in iter_received_blocks(q, n, _received_chunk_rows(n_words)):
-            hit = scan_block(block)
-            if hit is not None:
+        for _, block, hist in _agreement_histograms(words, q):
+            bad = np.nonzero(hist[:, t:].sum(axis=1) > bound)[0]
+            if bad.size:
+                z = block[int(bad[0])]
+                hit = violation(z, agreement_block(z[None, :], words)[0])
                 return Certificate(code, query, VIOLATED, EXHAUSTIVE, hit[0], hit[1])
         return Certificate(code, query, DECODABLE, EXHAUSTIVE)
 
@@ -267,8 +264,10 @@ def is_list_decodable(
     while remaining > 0:
         take = min(chunk, remaining)
         block = rng.integers(0, q, size=(take, n), dtype=np.int64)
-        hit = scan_block(block)
-        if hit is not None:
+        agr = agreement_block(block, words)
+        bad = np.nonzero((agr >= t).sum(axis=1) > bound)[0]
+        if bad.size:
+            hit = violation(block[int(bad[0])], agr[int(bad[0])])
             return Certificate(code, query, VIOLATED, BOUNDED, hit[0], hit[1])
         remaining -= take
     return Certificate(code, query, DECODABLE, BOUNDED)
@@ -342,10 +341,11 @@ def decoding_radius_profile(
 ) -> tuple[ProfileRow, ...]:
     """For each list size up to `max_list_size`, the largest decodable m/n.
 
-    One exhaustive pass over received words collects, per word, the sorted
-    top agreement counts; the per-list-size maxima determine both radii
-    exactly. List sizes at or above the code size decode at radius 1 in both
-    modes (no ball and no codeword set can overfill).
+    One exhaustive pass over received words reads, per word, the top
+    agreement counts off its agreement histogram; the per-list-size maxima
+    determine both radii exactly. List sizes at or above the code size
+    decode at radius 1 in both modes (no ball and no codeword set can
+    overfill).
     """
     if max_list_size < 1:
         raise ValueError("max_list_size must be >= 1")
@@ -358,17 +358,15 @@ def decoding_radius_profile(
         )
     words = code.codeword_matrix(max_codewords=max_codewords)
     top = min(max_list_size + 1, n_words)
-    best_kth = np.zeros(top, dtype=np.int64)
+    ks = np.arange(1, top + 1)
+    best_tail = np.zeros(n, dtype=np.int64)
     best_topsum = np.zeros(top, dtype=np.int64)
-    for _, block in iter_received_blocks(q, n, _received_chunk_rows(n_words)):
-        agr = agreement_block(block, words)
-        if top >= n_words:
-            ordered = np.sort(agr, axis=1)[:, ::-1]
-        else:
-            part = np.partition(agr, n_words - top, axis=1)[:, n_words - top :]
-            ordered = np.sort(part, axis=1)[:, ::-1]
-        best_kth = np.maximum(best_kth, ordered.max(axis=0))
-        best_topsum = np.maximum(best_topsum, np.cumsum(ordered, axis=1).max(axis=0))
+    for _, _, hist in _agreement_histograms(words, q):
+        sums, tail_max = _top_sums(hist, ks)
+        best_tail = np.maximum(best_tail, tail_max)
+        best_topsum = np.maximum(best_topsum, sums.max(axis=1))
+    # the largest k-th agreement over all words is #{a >= 1 : max tail_a >= k}
+    best_kth = (best_tail[:, None] >= ks).sum(axis=0)
     rows = []
     for ell in range(1, max_list_size + 1):
         if ell >= n_words:

@@ -52,7 +52,7 @@ def test_oracle_check_exit_codes_and_certificate(rs_path, tmp_path):
     ])
     assert rc == 1
     cert = certificate_from_json_dict(read(cert_path)["results"]["certificate"])
-    cert.verify()
+    assert cert.verify()
     assert cert.verdict == "violated"
     assert cert.witness_received == (0, 0, 0, 1)
     assert main([
@@ -66,7 +66,7 @@ def test_oracle_check_exit_codes_and_certificate(rs_path, tmp_path):
     ])
     assert rc_avg == 1
     avg_cert = certificate_from_json_dict(read(tmp_path / "avg.json")["results"]["certificate"])
-    avg_cert.verify()
+    assert avg_cert.verify()
 
 
 def test_oracle_profile_csv_frozen(rs_path, tmp_path):

@@ -10,10 +10,14 @@ lexicographically first word with more than 2 codewords in its ball is
 import itertools
 import json
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import listlab.plurality as plurality
 from listlab.errors import InfeasibleError
 from listlab.galois import field_new
 from listlab.linear_code import LinearCode, rs_code
@@ -33,7 +37,12 @@ from listlab.oracle import (
     is_list_decodable,
     list_at,
 )
-from listlab.plurality import plurality_mass, top_agreement_scan
+from listlab.plurality import (
+    agreement_block,
+    iter_received_blocks,
+    plurality_mass,
+    top_agreement_scan,
+)
 
 RS5 = rs_code(field_new(5), 2, [0, 1, 2, 3])
 RS5_BALL_AT_0001 = {(0, 0, 0, 0), (0, 2, 4, 1), (2, 0, 3, 1), (3, 4, 0, 1)}
@@ -281,3 +290,106 @@ def test_budget_and_mode_errors():
         is_avg_radius_list_decodable(RS5, ListDecQuery(Fraction(1, 3), 2))
     with pytest.raises(ValueError):
         decoding_radius_profile(RS5, 0)
+
+
+# -- exhaustive scans against a brute-force reference --------------------------
+
+
+@st.composite
+def small_codes(draw):
+    """Random small linear codes, rank-deficient ones and n = 1 included."""
+    q = draw(st.sampled_from([2, 3, 4, 5, 7, 8]))
+    k = draw(st.integers(1, 3))
+    n_max = max(n for n in range(1, 7) if n == 1 or q ** (n + k) <= 1 << 15)
+    n = draw(st.integers(1, n_max))
+    rows = [draw(st.lists(st.integers(0, q - 1), min_size=n, max_size=n)) for _ in range(k)]
+    if k > 1 and draw(st.booleans()):
+        rows[-1] = rows[0]  # a repeated row: rank below k
+    return LinearCode(field_new(q), rows)
+
+
+def _reference_agreements(code):
+    """Codewords, all q^n received words in lexicographic order, and their
+    (q^n, N) agreement matrix."""
+    words = code.codeword_matrix()
+    received = np.concatenate([b for _, b in iter_received_blocks(code.field.q, code.n, 97)])
+    return words, received, agreement_block(received, words)
+
+
+def _reference_profile(code, max_list_size):
+    words, _, agr = _reference_agreements(code)
+    n = code.n
+    ordered = -np.sort(-agr, axis=1)
+    rows = []
+    for ell in range(1, max_list_size + 1):
+        if ell >= len(words):
+            rows.append((ell, Fraction(1), Fraction(1)))
+            continue
+        crowd = int(ordered[:, ell].max())
+        total = int(ordered[:, : ell + 1].sum(axis=1).max())
+        rows.append((ell, Fraction(n - 1 - crowd, n), Fraction(n - (-(-total // (ell + 1))), n)))
+    return rows
+
+
+def _reference_check(code, query):
+    words, received, agr = _reference_agreements(code)
+    t = query.agreement_threshold(code.n)
+    bad = np.nonzero((agr >= t).sum(axis=1) > query.list_bound)[0]
+    if not bad.size:
+        return DECODABLE, None, None
+    z = int(bad[0])
+    inside = np.nonzero(agr[z] >= t)[0][: query.list_bound + 1]
+    return (
+        VIOLATED,
+        tuple(int(v) for v in received[z]),
+        tuple(tuple(int(v) for v in words[i]) for i in inside),
+    )
+
+
+@given(small_codes(), st.integers(1, 5), st.booleans(), st.data())
+@settings(max_examples=120, deadline=None)
+def test_exhaustive_scans_match_brute_force(code, max_list_size, tiny_tables, data):
+    if tiny_tables:  # one prefix per block and one codeword per table
+        with mock.patch.object(plurality, "_TABLE_CELLS", 1):
+            _check_scans(code, max_list_size, data)
+    else:
+        _check_scans(code, max_list_size, data)
+
+
+def _check_scans(code, max_list_size, data):
+    n = code.n
+    rows = decoding_radius_profile(code, max_list_size)
+    assert [(r.list_size, r.standard_radius, r.average_radius) for r in rows] == (
+        _reference_profile(code, max_list_size)
+    )
+    for radius in (Fraction(0), Fraction(1), Fraction(data.draw(st.integers(0, n)), n)):
+        query = ListDecQuery(radius, data.draw(st.integers(0, 3)))
+        cert = is_list_decodable(code, query)
+        assert cert.search == EXHAUSTIVE
+        assert (cert.verdict, cert.witness_received, cert.witness_codewords) == (
+            _reference_check(code, query)
+        )
+    words, _, agr = _reference_agreements(code)
+    top = data.draw(st.integers(1, len(words)))
+    sums = -np.sort(-agr, axis=1)[:, :top].sum(axis=1)
+    assert top_agreement_scan(words, code.field.q, top) == (int(sums.max()), int(sums.argmax()))
+
+
+def test_exhaustive_scans_pull_q_to_the_n_received_words(monkeypatch):
+    pulled = []
+    original = plurality.iter_received_blocks
+
+    def counting(q, n, chunk=1 << 14):
+        for start, block in original(q, n, chunk):
+            assert start == sum(pulled)
+            pulled.append(len(block))
+            yield start, block
+
+    monkeypatch.setattr(plurality, "iter_received_blocks", counting)
+    code = rs_code(field_new(7), 2, [0, 1, 2, 3, 4])  # d = 4: radius 1/5 balls hold one codeword
+    cert = is_list_decodable(code, ListDecQuery(Fraction(1, 5), 1))
+    assert cert.verdict == DECODABLE and cert.search == EXHAUSTIVE
+    assert sum(pulled) == 7**5
+    pulled.clear()
+    decoding_radius_profile(code, 3)
+    assert sum(pulled) == 7**5

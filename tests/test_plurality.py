@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -60,6 +61,16 @@ def test_agreement_complements_hamming_distance(pairs):
     y = tuple(p[1] for p in pairs)
     hamming = sum(a != b for a, b in zip(x, y))
     assert agreement(x, y) + hamming == len(x)
+
+
+@pytest.mark.parametrize("q,n", [(2, 1), (3, 4), (4, 3), (5, 2)])
+@pytest.mark.parametrize("chunk", [1, 3, 7, 16, 25, 64, 1 << 14])
+def test_received_blocks_enumerate_lexicographically(q, n, chunk):
+    blocks = list(iter_received_blocks(q, n, chunk))
+    assert [s for s, _ in blocks] == list(range(0, q**n, chunk))
+    words = np.concatenate([b for _, b in blocks])
+    assert words.dtype == np.int64
+    assert words.tolist() == [list(w) for w in itertools.product(range(q), repeat=n)]
 
 
 def test_message_set_validation():

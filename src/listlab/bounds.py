@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from numbers import Real
 
 _LOG2 = math.log(2.0)
 
@@ -111,6 +112,8 @@ def q_ary_entropy(q: int, x) -> float:
 
 def capacity_rate(q: int, eps) -> float:
     """Best possible rate at relative radius 1 - 1/q - eps."""
+    if q < 2:
+        raise ValueError(f"alphabet size must be >= 2, got {q}")
     eps = float(eps)
     if not (0 <= eps <= 1 - 1 / q):
         raise ValueError(f"eps must lie in [0, 1 - 1/q], got {eps}")
@@ -137,6 +140,8 @@ def johnson_agreement_bound_eps(n, q, L, eps, pairwise_distance_sum):
     """
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
+    if q < 2:
+        raise ValueError(f"alphabet size must be >= 2, got {q}")
     _check_pair_sum(L, pairwise_distance_sum)
     one = Fraction(1) if isinstance(eps, (int, Fraction)) else 1.0
     return (
@@ -309,8 +314,54 @@ def gaussian_max_bound(sigma: float, n: int) -> float:
 # -- CLI-facing dispatcher -----------------------------------------------------------
 
 
+# the parameters each named bound requires; "variant" is a string, "ranges"
+# a list of (a, b) pairs, and every other parameter a real number
+_BOUND_PARAMS = {
+    "entropy": ("q", "x"),
+    "capacity": ("q", "eps"),
+    "capacity-small-eps": ("q", "eps"),
+    "johnson-eps": ("n", "q", "L", "eps", "pair_sum"),
+    "johnson-root": ("n", "L", "pair_sum"),
+    "sampled-agreement": ("E", "L", "N"),
+    "blocklength": ("q", "eps", "variant", "k"),
+    "hoeffding": ("ranges", "v"),
+    "gaussian-max": ("sigma", "n"),
+}
+
+
+def _is_real(v) -> bool:
+    return isinstance(v, Real) and not isinstance(v, bool)
+
+
+def _param_ok(key: str, v) -> bool:
+    if key == "variant":
+        return isinstance(v, str)
+    if key == "ranges":
+        return isinstance(v, (list, tuple)) and all(
+            isinstance(r, (list, tuple)) and len(r) == 2 and all(map(_is_real, r)) for r in v
+        )
+    return _is_real(v)
+
+
+def _check_params(name: str, params) -> None:
+    if not isinstance(params, dict):
+        raise ValueError(f"params of bound {name!r} must be a JSON object")
+    keys = _BOUND_PARAMS[name]
+    missing = [key for key in keys if key not in params]
+    if missing:
+        raise ValueError(f"bound {name!r} needs params {missing}")
+    if name == "sampled-agreement" and params.get("q") is not None:
+        keys += ("q",)  # the optional alphabet size
+    for key in keys:
+        if not _param_ok(key, params[key]):
+            raise ValueError(f"bound {name!r} got an ill-typed {key}: {params[key]!r}")
+
+
 def evaluate_bound(name: str, params: dict, cfg: ConstantsConfig | None = None) -> BoundReport:
     """Evaluate one named bound from a flat parameter dict."""
+    if name not in _BOUND_PARAMS:
+        raise ValueError(f"unknown bound {name!r}")
+    _check_params(name, params)
     cfg = cfg or ConstantsConfig()
     p = dict(params)
     if name == "entropy":
@@ -331,8 +382,6 @@ def evaluate_bound(name: str, params: dict, cfg: ConstantsConfig | None = None) 
         value = float(decodable_blocklength(p["q"], p["eps"], p["variant"], p["k"], cfg))
     elif name == "hoeffding":
         value = hoeffding_tail(p["ranges"], p["v"])
-    elif name == "gaussian-max":
-        value = gaussian_max_bound(p["sigma"], p["n"])
     else:
-        raise ValueError(f"unknown bound {name!r}")
+        value = gaussian_max_bound(p["sigma"], p["n"])
     return BoundReport(name, tuple(sorted(p.items())), float(value))

@@ -24,6 +24,7 @@ from itertools import combinations
 import numpy as np
 
 from .bounds import ConstantsConfig
+from .config import Budgets
 from .errors import InfeasibleError
 from .linear_code import LinearCode
 from .plurality import (
@@ -731,12 +732,14 @@ def gaussian_supremum_experiment(
     seed: int = 0,
     cfg: ConstantsConfig | None = None,
     mass_trials: int = 2000,
+    *,
+    budgets: Budgets = Budgets(),
 ) -> SupremumReport:
     """Estimate E max over candidate sets of |X([n], Lambda)| and compare it
     to C3 * sqrt(Q * log2(N) * log2(L)^5).
 
     Q is the maximum plurality mass at list size L, computed exactly when
-    the enumeration budgets allow and otherwise replaced by a sampled lower
+    `budgets` allow either exact route and otherwise replaced by a sampled lower
     bound (flagged, which makes the target itself a lower bound). The max
     runs over a sampled family of candidate sets, so the empirical value is
     also a lower bound on the true supremum; the minimal sufficient C3 is
@@ -748,9 +751,9 @@ def gaussian_supremum_experiment(
     if code.size < 4:
         raise ValueError("need at least 4 codewords")
     try:
-        mass = plurality_mass(code, L, "exact")
+        mass = plurality_mass(code, L, "exact", budgets=budgets)
     except InfeasibleError:
-        mass = plurality_mass(code, L, "sampled", trials=mass_trials, seed=seed)
+        mass = plurality_mass(code, L, "sampled", trials=mass_trials, seed=seed, budgets=budgets)
     lams = candidate_message_sets(code.field, code.k, L, n_candidates, seed)
     coords = tuple(range(code.n))
     sample = gaussian_process_sample(code, [(coords, lam) for lam in lams], trials, seed)

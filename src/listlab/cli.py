@@ -74,7 +74,7 @@ def _parse_messages(text: str) -> MessageSet:
 def _load_code(path: str) -> LinearCode:
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
-    if isinstance(doc, dict) and "results" in doc and "code" in doc.get("results", {}):
+    if isinstance(doc, dict) and isinstance(doc.get("results"), dict) and "code" in doc["results"]:
         doc = doc["results"]["code"]
     return code_from_json_dict(doc)
 
@@ -264,9 +264,7 @@ def _code_info(code: LinearCode, cfg: RunConfig) -> dict:
         "provenance": code.provenance,
     }
     try:
-        info["min_distance"] = str(
-            code.min_distance_exact(max_codewords=cfg.budgets.max_codewords)
-        )
+        info["min_distance"] = str(code.min_distance_exact(budgets=cfg.budgets))
     except (InfeasibleError, ValueError) as exc:
         info["min_distance"] = None
         info["min_distance_note"] = str(exc)
@@ -301,27 +299,15 @@ def _run(args, cfg: RunConfig) -> tuple[dict, list[str] | None, list[list] | Non
                 cert = is_list_decodable(
                     code,
                     query,
-                    max_received_words=cfg.budgets.max_received_words,
-                    max_codewords=cfg.budgets.max_codewords,
+                    budgets=cfg.budgets,
                     sample_received=args.sample_received,
                     seed=args.seed,
                 )
             else:
-                cert = is_avg_radius_list_decodable(
-                    code,
-                    query,
-                    max_subsets=cfg.budgets.max_subsets,
-                    max_received_words=cfg.budgets.max_received_words,
-                    max_codewords=cfg.budgets.max_codewords,
-                )
+                cert = is_avg_radius_list_decodable(code, query, budgets=cfg.budgets)
             code_result = 1 if cert.verdict == VIOLATED else 0
             return {"certificate": cert.to_json_dict()}, None, None, code_result
-        profile = decoding_radius_profile(
-            code,
-            args.max_list_size,
-            max_received_words=cfg.budgets.max_received_words,
-            max_codewords=cfg.budgets.max_codewords,
-        )
+        profile = decoding_radius_profile(code, args.max_list_size, budgets=cfg.budgets)
         rows = [[r.list_size, str(r.standard_radius), str(r.average_radius)] for r in profile]
         return (
             {"profile": [r.as_dict() for r in profile]},
@@ -370,9 +356,7 @@ def _run(args, cfg: RunConfig) -> tuple[dict, list[str] | None, list[list] | Non
                 args.mode,
                 trials=args.trials,
                 seed=args.seed,
-                max_subsets=cfg.budgets.max_subsets,
-                max_received_words=cfg.budgets.max_received_words,
-                max_codewords=cfg.budgets.max_codewords,
+                budgets=cfg.budgets,
             )
             return {"mass": mass.as_dict()}, None, None, 0
         lam = _parse_messages(args.messages)
@@ -435,6 +419,7 @@ def _run(args, cfg: RunConfig) -> tuple[dict, list[str] | None, list[list] | Non
             trials=args.trials,
             seed=args.seed,
             cfg=cfg.constants,
+            budgets=cfg.budgets,
         )
         return {"supremum": rep.as_dict()}, None, None, 0
 

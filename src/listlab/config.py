@@ -12,26 +12,49 @@ import json
 from dataclasses import dataclass, field
 
 from .bounds import ConstantsConfig, constants_from_dict
+from .errors import InfeasibleError
 
-DEFAULT_MAX_CODEWORDS = 1 << 22
-DEFAULT_MAX_RECEIVED_WORDS = 1 << 28
-DEFAULT_MAX_SUBSETS = 1 << 22
 DEFAULT_ETA_RULE = "1/log2(L)"
 
 
 @dataclass(frozen=True)
 class Budgets:
-    """Caps on exhaustive enumeration sizes."""
+    """Caps on exhaustive enumeration sizes, and the checks that charge them.
 
-    max_codewords: int = DEFAULT_MAX_CODEWORDS
-    max_received_words: int = DEFAULT_MAX_RECEIVED_WORDS
-    max_subsets: int = DEFAULT_MAX_SUBSETS
+    Every exact computation takes one of these as its `budgets` keyword and
+    either completes within it or raises InfeasibleError. Three things are
+    charged: the N codewords of a row space, the q^n * N comparisons of an
+    exhaustive received-word scan, and the C(N, L) subsets of a subset
+    enumeration.
+    """
+
+    max_codewords: int = 1 << 22
+    max_received_words: int = 1 << 28
+    max_subsets: int = 1 << 22
 
     def __post_init__(self):
         for name in ("max_codewords", "max_received_words", "max_subsets"):
             v = getattr(self, name)
             if not isinstance(v, int) or isinstance(v, bool) or v < 1:
                 raise ValueError(f"{name} must be a positive integer, got {v!r}")
+
+    def check_codewords(self, n_words: int) -> None:
+        """Refuse to enumerate a row space of more than max_codewords words."""
+        if n_words > self.max_codewords:
+            raise InfeasibleError(f"row space has {n_words} codewords, budget {self.max_codewords}")
+
+    def scan_cost(self, code) -> int:
+        """Comparisons of an exhaustive scan of `code`: q^n received words
+        against its N codewords."""
+        return code.field.q**code.n * code.size
+
+    def check_scan(self, code, what: str) -> None:
+        """Refuse an exhaustive scan of `code` costing more than max_received_words."""
+        cost = self.scan_cost(code)
+        if cost > self.max_received_words:
+            raise InfeasibleError(
+                f"{what} needs {cost} comparisons, budget {self.max_received_words}"
+            )
 
     def as_dict(self) -> dict:
         return {

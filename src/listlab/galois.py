@@ -110,7 +110,6 @@ class Field:
             self._build_tables()
         else:
             raise ValueError(f"{q} is neither prime nor a power of 2")
-        self._mul_table_cache: np.ndarray | None = None
 
     def _build_tables(self) -> None:
         q, poly = self.q, self.poly
@@ -214,25 +213,6 @@ class Field:
         nz = x != 0
         out[nz] = self._exp_np[self._log_np[x[nz]] + self._log[s]]
         return out
-
-    def mul_table(self) -> np.ndarray:
-        """Full q-by-q multiplication table (cached; used by exhaustive checks)."""
-        if self._mul_table_cache is None:
-            a = np.arange(self.q)
-            if self.kind == "prime":
-                t = (a[:, None] * a[None, :]) % self.q
-            else:
-                t = np.zeros((self.q, self.q), dtype=np.int64)
-                for i in range(1, self.q):
-                    t[i, 1:] = self.scale_array(i, a[1:])
-            self._mul_table_cache = t
-        return self._mul_table_cache
-
-    def add_table(self) -> np.ndarray:
-        a = np.arange(self.q)
-        if self.kind == "prime":
-            return (a[:, None] + a[None, :]) % self.q
-        return np.bitwise_xor(a[:, None], a[None, :])
 
     # -- identity ---------------------------------------------------------
 

@@ -103,7 +103,7 @@ def experiment_corollary(
     cfg: ConstantsConfig | None = None,
     seed: int = 0,
     *,
-    budgets: Budgets | None = None,
+    budgets: Budgets = Budgets(),
     n_override: int | None = None,
     allow_sampled: bool = False,
     sampled_trials: int = 500,
@@ -124,7 +124,6 @@ def experiment_corollary(
     """
     start = time.perf_counter()
     cfg = cfg or ConstantsConfig()
-    budgets = budgets or Budgets()
     eps = Fraction(eps)
     if not 0 < eps < 1:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
@@ -160,13 +159,7 @@ def experiment_corollary(
     for i in range(draws):
         code = sample_code(parent, n, seed=child_seed(seed, i))
         try:
-            cert = is_avg_radius_list_decodable(
-                code,
-                query,
-                max_subsets=budgets.max_subsets,
-                max_received_words=budgets.max_received_words,
-                max_codewords=budgets.max_codewords,
-            )
+            cert = is_avg_radius_list_decodable(code, query, budgets=budgets)
             verdict = cert.verdict
         except InfeasibleError:
             if not allow_sampled:
@@ -174,7 +167,7 @@ def experiment_corollary(
             oracle_mode = "sampled"
             mass = plurality_mass(
                 code, L + 1, "sampled", trials=sampled_trials, seed=child_seed(seed, i, 1),
-                max_codewords=budgets.max_codewords,
+                budgets=budgets,
             )
             verdict = VIOLATED if mass.value > n * (1 - rho) else DECODABLE
         verdicts.append(verdict)
@@ -243,7 +236,7 @@ def experiment_beyond_johnson(
     seed: int = 0,
     *,
     rho_grid: list | None = None,
-    budgets: Budgets | None = None,
+    budgets: Budgets = Budgets(),
 ) -> ExperimentReport:
     """Exact decoding-radius profiles of Reed-Solomon codes with random
     evaluation points, next to the distance-implied radius.
@@ -257,7 +250,6 @@ def experiment_beyond_johnson(
     start = time.perf_counter()
     if n_seeds < 1:
         raise ValueError("need at least one seed")
-    budgets = budgets or Budgets()
     field_obj = field_new(q)
     parent = full_rs_code(field_obj, k)
 
@@ -265,13 +257,8 @@ def experiment_beyond_johnson(
         rows = []
         for s in range(n_seeds):
             code = sample_code(parent, n, seed=child_seed(seed, s))
-            profile = decoding_radius_profile(
-                code,
-                l_cap,
-                max_received_words=budgets.max_received_words,
-                max_codewords=budgets.max_codewords,
-            )
-            delta = code.min_distance_exact(max_codewords=budgets.max_codewords)
+            profile = decoding_radius_profile(code, l_cap, budgets=budgets)
+            delta = code.min_distance_exact(budgets=budgets)
             johnson, clamped = johnson_radius_from_distance(q, delta)
             row = {
                 "seed_index": s,
@@ -434,8 +421,8 @@ def _check_plurality_identity(seed: int):
 
 def _check_mass_routes(seed: int):
     code = rs_code(field_new(3), 2, [0, 1, 2])
-    by_scan = plurality_mass(code, 3, "exact", max_subsets=1)
-    by_subsets = plurality_mass(code, 3, "exact", max_received_words=1)
+    by_scan = plurality_mass(code, 3, "exact", budgets=Budgets(max_subsets=1))
+    by_subsets = plurality_mass(code, 3, "exact", budgets=Budgets(max_received_words=1))
     ok = by_scan.value == by_subsets.value and by_scan.exact and by_subsets.exact
     return ok, f"scan {by_scan.value} vs subsets {by_subsets.value}"
 

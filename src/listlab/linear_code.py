@@ -14,11 +14,12 @@ from fractions import Fraction
 
 import numpy as np
 
+from .config import Budgets
 from .errors import InfeasibleError
 from .galois import Field, field_new
 
-DEFAULT_CODEWORD_BUDGET = 1 << 22
-DEFAULT_COLUMN_BUDGET = 1 << 20
+# a fixed size cap on hadamard_code, which builds all q^k columns
+MAX_HADAMARD_COLUMNS = 1 << 20
 
 
 class LinearCode:
@@ -39,7 +40,6 @@ class LinearCode:
         self.n = n
         self.provenance = provenance or {"kind": "explicit"}
         self._basis: tuple[tuple[int, ...], ...] | None = None
-        self._scaled_rows: list[np.ndarray] | None = None
 
     # -- structure --------------------------------------------------------
 
@@ -88,45 +88,23 @@ class LinearCode:
                 word[j] = f.add(word[j], f.mul(xi, gij))
         return tuple(word)
 
-    def _scaled_row_tables(self) -> list[np.ndarray]:
-        # table[i][a] = a * generator_row_i, used by vectorized encoders
-        if self._scaled_rows is None:
-            f = self.field
-            self._scaled_rows = [
-                np.stack([f.scale_array(a, np.array(row, dtype=np.int64)) for a in range(f.q)])
-                for row in self.generator
-            ]
-        return self._scaled_rows
-
-    def encode_array(self, messages: np.ndarray) -> np.ndarray:
-        """Vectorized encode of an (M, k) integer array to an (M, n) array."""
-        tables = self._scaled_row_tables()
-        acc = tables[0][messages[:, 0]]
-        for i in range(1, self.k):
-            acc = self.field.add_array(acc, tables[i][messages[:, i]])
-        return acc
-
     # -- row-space enumeration ---------------------------------------------
 
-    def codeword_matrix(self, max_codewords: int = DEFAULT_CODEWORD_BUDGET) -> np.ndarray:
+    def codeword_matrix(self, *, budgets: Budgets = Budgets()) -> np.ndarray:
         """All N = q^rank distinct codewords as an (N, n) array.
 
         Rows are ordered by the coefficient tuple over the reduced basis,
         first coefficient most significant.
         """
-        n_words = self.size
-        if n_words > max_codewords:
-            raise InfeasibleError(f"row space has {n_words} codewords, budget {max_codewords}")
-        return next(self.iter_codeword_chunks(chunk=n_words, max_codewords=max_codewords))
+        return next(self.iter_codeword_chunks(chunk=self.size, budgets=budgets))
 
-    def iter_codeword_chunks(self, chunk: int = 1 << 14, max_codewords: int = DEFAULT_CODEWORD_BUDGET):
+    def iter_codeword_chunks(self, chunk: int = 1 << 14, *, budgets: Budgets = Budgets()):
         """Yield the row space in order as arrays of up to `chunk` rows."""
         basis = self.basis()
         r = len(basis)
         q = self.field.q
         n_words = q**r
-        if n_words > max_codewords:
-            raise InfeasibleError(f"row space has {n_words} codewords, budget {max_codewords}")
+        budgets.check_codewords(n_words)
         if r == 0:
             yield np.zeros((1, self.n), dtype=np.int64)
             return
@@ -146,13 +124,13 @@ class LinearCode:
                 acc = part if acc is None else f.add_array(acc, part)
             yield acc
 
-    def min_distance_exact(self, max_codewords: int = DEFAULT_CODEWORD_BUDGET) -> Fraction:
+    def min_distance_exact(self, *, budgets: Budgets = Budgets()) -> Fraction:
         """Exact relative minimum distance by full row-space enumeration."""
         if self.rank() == 0:
             raise ValueError("degenerate code: all-zero generator (rank 0)")
         best = None
         first = True
-        for block in self.iter_codeword_chunks(max_codewords=max_codewords):
+        for block in self.iter_codeword_chunks(budgets=budgets):
             weights = np.count_nonzero(block, axis=1)
             if first:
                 weights = weights[1:]  # skip the zero codeword
@@ -177,14 +155,35 @@ class LinearCode:
         return f"LinearCode(q={self.field.q}, k={self.k}, n={self.n}, {self.provenance.get('kind')})"
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def code_from_json_dict(doc: dict) -> LinearCode:
-    field = field_new(doc["field"]["q"], doc["field"].get("poly"))
-    k, n = doc["k"], doc["n"]
-    flat = doc["generator"]
+    """Rebuild a code from its JSON document; a malformed one is a ValueError."""
+    if not isinstance(doc, dict):
+        raise ValueError("code document must be a JSON object")
+    missing = [key for key in ("field", "k", "n", "generator") if key not in doc]
+    if missing:
+        raise ValueError(f"code document lacks {missing}")
+    fdoc = doc["field"]
+    if not isinstance(fdoc, dict) or not _is_int(fdoc.get("q")):
+        raise ValueError("code field must be an object with an integer q")
+    poly = fdoc.get("poly")
+    if poly is not None and not _is_int(poly):
+        raise ValueError("code field poly must be an integer or null")
+    k, n, flat = doc["k"], doc["n"], doc["generator"]
+    if not (_is_int(k) and _is_int(n) and k >= 1 and n >= 1):
+        raise ValueError("code k and n must be positive integers")
+    if not isinstance(flat, list) or not all(_is_int(x) for x in flat):
+        raise ValueError("code generator must be a list of integers")
     if len(flat) != k * n:
         raise ValueError("generator length does not match k*n")
+    provenance = doc.get("provenance")
+    if provenance is not None and not isinstance(provenance, dict):
+        raise ValueError("code provenance must be an object or null")
     rows = [flat[i * n : (i + 1) * n] for i in range(k)]
-    return LinearCode(field, rows, provenance=doc.get("provenance"))
+    return LinearCode(field_new(fdoc["q"], poly), rows, provenance=provenance)
 
 
 def code_to_json(code: LinearCode) -> str:
@@ -247,12 +246,12 @@ def full_rs_code(field: Field, k: int) -> LinearCode:
     return rs_code(field, k, list(range(field.q)))
 
 
-def hadamard_code(field: Field, k: int, max_columns: int = DEFAULT_COLUMN_BUDGET) -> LinearCode:
+def hadamard_code(field: Field, k: int) -> LinearCode:
     """Code whose columns enumerate all of F_q^k in canonical order (n = q^k)."""
     q = field.q
     n = q**k
-    if n > max_columns:
-        raise InfeasibleError(f"hadamard code needs {n} columns, budget {max_columns}")
+    if n > MAX_HADAMARD_COLUMNS:
+        raise InfeasibleError(f"hadamard code needs {n} columns, budget {MAX_HADAMARD_COLUMNS}")
     cols = np.arange(n)
     gen = []
     for i in range(k):

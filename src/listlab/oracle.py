@@ -20,11 +20,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import InfeasibleError
-from .linear_code import DEFAULT_CODEWORD_BUDGET, LinearCode, code_from_json_dict
+from .config import Budgets
+from .linear_code import LinearCode, code_from_json_dict
 from .plurality import (
-    DEFAULT_SCAN_BUDGET,
-    DEFAULT_SUBSET_BUDGET,
     _agreement_histograms,
     _top_sums,
     agreement,
@@ -178,7 +176,8 @@ def list_at(
     code: LinearCode,
     received,
     radius,
-    max_codewords: int = DEFAULT_CODEWORD_BUDGET,
+    *,
+    budgets: Budgets = Budgets(),
 ) -> tuple[tuple[int, ...], ...]:
     """All codewords within relative distance `radius` of `received`.
 
@@ -194,7 +193,7 @@ def list_at(
         raise ValueError(f"received word length {z.shape[1]} != n = {n}")
     t = n - math.floor(rho * n)
     members: list[tuple[int, ...]] = []
-    for block in code.iter_codeword_chunks(max_codewords=max_codewords):
+    for block in code.iter_codeword_chunks(budgets=budgets):
         agr = agreement_block(z, block)[0]
         for i in np.nonzero(agr >= t)[0]:
             members.append(tuple(int(v) for v in block[i]))
@@ -213,15 +212,14 @@ def is_list_decodable(
     code: LinearCode,
     query: ListDecQuery,
     *,
-    max_received_words: int = DEFAULT_SCAN_BUDGET,
-    max_codewords: int = DEFAULT_CODEWORD_BUDGET,
+    budgets: Budgets = Budgets(),
     sample_received: int | None = None,
     seed: int = 0,
 ) -> Certificate:
     """Standard-mode verdict by scanning received words.
 
     With `sample_received=None` the scan is exhaustive over all q^n received
-    words (requires q^n * N within `max_received_words` elementary
+    words (requires q^n * N within `budgets.max_received_words` elementary
     comparisons) and a violation reports the lexicographically first bad
     received word. Otherwise `sample_received` uniform words are tried and
     the certificate is marked "bounded".
@@ -229,14 +227,9 @@ def is_list_decodable(
     if query.mode != STANDARD:
         raise ValueError(f"standard-mode oracle got a {query.mode!r} query")
     q, n = code.field.q, code.n
-    n_words = code.size
     if sample_received is None:
-        scan_cost = q**n * n_words
-        if scan_cost > max_received_words:
-            raise InfeasibleError(
-                f"exhaustive scan needs {scan_cost} comparisons, budget {max_received_words}"
-            )
-    words = code.codeword_matrix(max_codewords=max_codewords)
+        budgets.check_scan(code, "exhaustive scan")
+    words = code.codeword_matrix(budgets=budgets)
     t = query.agreement_threshold(n)
     bound = query.list_bound
 
@@ -260,7 +253,7 @@ def is_list_decodable(
         raise ValueError("sample_received must be >= 1 when given")
     rng = rng_for(seed)
     remaining = sample_received
-    chunk = _received_chunk_rows(n_words)
+    chunk = _received_chunk_rows(len(words))
     while remaining > 0:
         take = min(chunk, remaining)
         block = rng.integers(0, q, size=(take, n), dtype=np.int64)
@@ -280,9 +273,7 @@ def is_avg_radius_list_decodable(
     code: LinearCode,
     query: ListDecQuery,
     *,
-    max_subsets: int = DEFAULT_SUBSET_BUDGET,
-    max_received_words: int = DEFAULT_SCAN_BUDGET,
-    max_codewords: int = DEFAULT_CODEWORD_BUDGET,
+    budgets: Budgets = Budgets(),
 ) -> Certificate:
     """Average-radius verdict via the largest plurality mass at size L+1.
 
@@ -297,14 +288,7 @@ def is_avg_radius_list_decodable(
     size = query.list_bound + 1
     if code.size < size:
         return Certificate(code, query, DECODABLE, EXHAUSTIVE)
-    mass = plurality_mass(
-        code,
-        size,
-        mode="exact",
-        max_subsets=max_subsets,
-        max_received_words=max_received_words,
-        max_codewords=max_codewords,
-    )
+    mass = plurality_mass(code, size, mode="exact", budgets=budgets)
     threshold = Fraction(code.n) * (1 - query.radius)
     if mass.value <= threshold:
         return Certificate(code, query, DECODABLE, EXHAUSTIVE)
@@ -336,8 +320,7 @@ def decoding_radius_profile(
     code: LinearCode,
     max_list_size: int,
     *,
-    max_received_words: int = DEFAULT_SCAN_BUDGET,
-    max_codewords: int = DEFAULT_CODEWORD_BUDGET,
+    budgets: Budgets = Budgets(),
 ) -> tuple[ProfileRow, ...]:
     """For each list size up to `max_list_size`, the largest decodable m/n.
 
@@ -350,13 +333,9 @@ def decoding_radius_profile(
     if max_list_size < 1:
         raise ValueError("max_list_size must be >= 1")
     q, n = code.field.q, code.n
-    n_words = code.size
-    scan_cost = q**n * n_words
-    if scan_cost > max_received_words:
-        raise InfeasibleError(
-            f"profile scan needs {scan_cost} comparisons, budget {max_received_words}"
-        )
-    words = code.codeword_matrix(max_codewords=max_codewords)
+    budgets.check_scan(code, "profile scan")
+    words = code.codeword_matrix(budgets=budgets)
+    n_words = len(words)
     top = min(max_list_size + 1, n_words)
     ks = np.arange(1, top + 1)
     best_tail = np.zeros(n, dtype=np.int64)

@@ -17,13 +17,11 @@ from fractions import Fraction
 
 import numpy as np
 
+from .config import Budgets
 from .errors import InfeasibleError
 from .galois import Field
-from .linear_code import DEFAULT_CODEWORD_BUDGET, LinearCode
+from .linear_code import LinearCode
 from .seeds import rng_for
-
-DEFAULT_SUBSET_BUDGET = 1 << 22
-DEFAULT_SCAN_BUDGET = 1 << 28
 
 
 def agreement(x, y) -> int:
@@ -358,9 +356,7 @@ def plurality_mass(
     *,
     trials: int = 200,
     seed: int = 0,
-    max_subsets: int = DEFAULT_SUBSET_BUDGET,
-    max_received_words: int = DEFAULT_SCAN_BUDGET,
-    max_codewords: int = DEFAULT_CODEWORD_BUDGET,
+    budgets: Budgets = Budgets(),
 ) -> MassResult:
     """Largest plurality mass over sets of L distinct codewords.
 
@@ -370,21 +366,21 @@ def plurality_mass(
     """
     if L < 1:
         raise ValueError("list size must be >= 1")
-    words = code.codeword_matrix(max_codewords=max_codewords)
+    words = code.codeword_matrix(budgets=budgets)
     n_words = words.shape[0]
     if L > n_words:
         raise ValueError(f"list size {L} exceeds code size {n_words}")
     q = code.field.q
 
     if mode == "exact":
-        scan_cost = q**code.n * n_words
+        scan_cost = budgets.scan_cost(code)
         subset_count = math.comb(n_words, L)
-        scan_ok = scan_cost <= max_received_words
-        subsets_ok = subset_count <= max_subsets
+        scan_ok = scan_cost <= budgets.max_received_words
+        subsets_ok = subset_count <= budgets.max_subsets
         if not scan_ok and not subsets_ok:
             raise InfeasibleError(
                 f"exact mass needs a scan of {scan_cost} comparisons or {subset_count} subsets; "
-                f"budgets are {max_received_words} and {max_subsets}"
+                f"budgets are {budgets.max_received_words} and {budgets.max_subsets}"
             )
         if scan_ok and (not subsets_ok or scan_cost <= subset_count):
             value, z_idx = top_agreement_scan(words, q, L)
@@ -440,7 +436,7 @@ def plurality_mass(
     raise ValueError(f"unknown mode {mode!r}")
 
 
-# -- randomized code families and the E / F estimators -----------------------
+# -- randomized code families and candidate message sets ---------------------
 
 
 class CodeFamily:
@@ -533,94 +529,3 @@ def candidate_message_sets(field: Field, k: int, L: int, count: int, seed: int) 
         idxs = _sample_distinct(rng, total, L)
         out.append(MessageSet(tuple(index_to_message(q, k, i) for i in idxs)))
     return out[:count]
-
-
-@dataclass(frozen=True)
-class EstimateReport:
-    """Monte Carlo estimate with its standard error and lower-bound flag."""
-
-    name: str
-    value: float
-    std_error: float
-    lower_bound: bool
-    draws: int
-    detail: tuple
-
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "value": self.value,
-            "std_error": self.std_error,
-            "lower_bound": self.lower_bound,
-            "draws": self.draws,
-            "detail": [dict(d) for d in self.detail],
-        }
-
-
-def estimate_expected_max_agreement(
-    family: CodeFamily, L: int, n_candidates: int, code_draws: int, seed: int
-) -> EstimateReport:
-    """Estimate of max over codeword sets of E over code draws of the maximum
-    agreement sum. The max runs over a sampled candidate family only, so the
-    value is a lower bound on the true maximum."""
-    candidates = candidate_message_sets(family.field, family.k, L, n_candidates, seed)
-    codes = [family.draw(seed, d) for d in range(code_draws)]
-    detail = []
-    best = None
-    for ci, lam in enumerate(candidates):
-        vals = np.array([max_agreement_sum(code, lam)[0] for code in codes], dtype=float)
-        mean = float(vals.mean())
-        se = float(vals.std(ddof=1) / math.sqrt(len(vals))) if len(vals) > 1 else 0.0
-        row = {"candidate": ci, "mean": mean, "std_error": se}
-        detail.append(tuple(row.items()))
-        if best is None or mean > best[0]:
-            best = (mean, se)
-    return EstimateReport(
-        name="expected_max_agreement",
-        value=best[0],
-        std_error=best[1],
-        lower_bound=True,
-        draws=code_draws,
-        detail=tuple(detail),
-    )
-
-
-def estimate_mean_max_deviation(
-    family: CodeFamily, L: int, trials: int, seed: int, n_candidates: int = 8
-) -> EstimateReport:
-    """Estimate of L times E over code draws of the largest absolute deviation
-    of a candidate set's plurality-fraction sum from its per-draw mean.
-
-    The per-candidate means come from an independent pilot run of the same
-    size; the max runs over sampled candidates only (lower-bound semantics).
-    """
-    candidates = candidate_message_sets(family.field, family.k, L, n_candidates, seed)
-    pilot_means = []
-    for ci, lam in enumerate(candidates):
-        masses = [
-            plurality_profile(family.draw(seed + 1_000_003, d), lam).mass()
-            for d in range(trials)
-        ]
-        pilot_means.append(sum(masses, Fraction(0)) / len(masses))
-    devs = []
-    for d in range(trials):
-        code = family.draw(seed, d)
-        dev = max(
-            abs(plurality_profile(code, lam).mass() - pilot_means[ci])
-            for ci, lam in enumerate(candidates)
-        )
-        devs.append(float(L * dev))
-    arr = np.array(devs)
-    se = float(arr.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-    detail = tuple(
-        tuple({"candidate": ci, "pilot_mean_mass": float(m)}.items())
-        for ci, m in enumerate(pilot_means)
-    )
-    return EstimateReport(
-        name="mean_max_deviation",
-        value=float(arr.mean()),
-        std_error=se,
-        lower_bound=True,
-        draws=trials,
-        detail=detail,
-    )

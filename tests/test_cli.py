@@ -1,8 +1,12 @@
 """End-to-end CLI tests: exit codes, file outputs, determinism, CSV forms."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from listlab.cli import main
 from listlab.oracle import certificate_from_json_dict
@@ -216,6 +220,12 @@ def test_usage_errors(rs_path, tmp_path):
     bad_cfg = tmp_path / "bad.json"
     bad_cfg.write_text('{"constants": {"C9": 1.0}}')
     assert main(["field", "--q", "4", "--config", str(bad_cfg)]) == 2
+    # an alphabet of size 0 is out of range, not a division by zero
+    for name, params in (
+        ("capacity", '{"q": 0, "eps": 0.1}'),
+        ("johnson-eps", '{"n": 5, "q": 0, "L": 2, "eps": 0.5, "pair_sum": 1.0}'),
+    ):
+        assert main(["bounds", "eval", "--name", name, "--params", params]) == 2
 
 
 def test_config_file_threads_through(rs_path, tmp_path):
@@ -256,3 +266,133 @@ def test_stdout_emission(rs_path, capsys):
     assert main(["code", "info", "--code", rs_path]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["results"]["size"] == 25
+
+
+# -- every exact command charges the --config budgets ----------------------------
+
+TINY_BUDGETS = {"max_codewords": 1, "max_received_words": 1, "max_subsets": 1}
+ONLY_CODEWORDS = dict(TINY_BUDGETS, max_codewords=1 << 22)
+EXACT_COMMANDS = {
+    "oracle-check-standard": ["oracle", "check", "--radius", "1/2", "--list-bound", "2"],
+    "oracle-check-average": [
+        "oracle", "check", "--radius", "1/2", "--list-bound", "2", "--mode", "average-radius",
+    ],
+    "oracle-profile": ["oracle", "profile", "--max-list-size", "3"],
+    "plurality-Q": ["plurality", "Q", "--list-size", "3", "--mode", "exact"],
+    "code-info": ["code", "info"],
+    "chain-supremum": [
+        "chain", "mc", "--check", "supremum", "--list-size", "4", "--trials", "50",
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "name, budgets",
+    [pytest.param(name, TINY_BUDGETS, id=f"{name}-tiny") for name in EXACT_COMMANDS]
+    + [
+        pytest.param(name, ONLY_CODEWORDS, id=f"{name}-only-codewords")
+        for name in EXACT_COMMANDS if name != "code-info"
+    ],
+)
+def test_exact_commands_honour_config_budgets(name, budgets, rs_path, tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"budgets": budgets}))
+    out = tmp_path / "out.json"
+    rc = main(EXACT_COMMANDS[name] + [
+        "--code", rs_path, "--config", str(cfg_path), "--out", str(out),
+    ])
+    if name == "code-info":
+        info = read(out)["results"]
+        assert rc == 0 and info["min_distance"] is None
+        assert info["min_distance_note"] == "row space has 25 codewords, budget 1"
+    elif name == "chain-supremum" and budgets is ONLY_CODEWORDS:
+        # both exact routes are over budget, so Q falls back to the sampled mass
+        assert rc == 0
+        assert read(out)["results"]["supremum"]["q_hat_exact"] is False
+    else:
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+# -- malformed input files and arguments are usage errors ------------------------
+
+VALID_CODE = {"field": {"q": 5}, "k": 2, "n": 4, "generator": [1, 1, 1, 1, 0, 1, 2, 3]}
+VALID_PARAMS = {
+    "entropy": {"q": 3, "x": 0.5},
+    "johnson-eps": {"n": 5, "q": 3, "L": 2, "eps": 0.5, "pair_sum": 1.0},
+    "blocklength": {"q": 16, "eps": 0.25, "variant": "small-q", "k": 2},
+    "hoeffding": {"ranges": [[0, 1]], "v": 1},
+}
+
+_non_objects = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False),
+    st.text(max_size=4), st.lists(st.integers(), max_size=3),
+)
+# bound params are real numbers, so only non-numbers are wrong for them
+_non_numbers = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=4),
+    st.lists(st.text(max_size=2), min_size=1, max_size=3),
+)
+_wrong_values = st.one_of(_non_numbers, st.floats(allow_nan=False, allow_infinity=False))
+
+
+def _without(valid: dict):
+    keys = sorted(valid)
+    return st.sets(st.sampled_from(keys), min_size=1).map(
+        lambda drop: {k: v for k, v in valid.items() if k not in drop}
+    )
+
+
+def _retyped(valid: dict, keys, values=_wrong_values):
+    return st.tuples(st.sampled_from(sorted(keys)), values).map(
+        lambda kv: {**valid, kv[0]: kv[1]}
+    )
+
+
+_bad_codes = st.one_of(
+    _non_objects,
+    _without(VALID_CODE),
+    _retyped(VALID_CODE, VALID_CODE),
+    _retyped(VALID_CODE, ["provenance"]).filter(lambda d: d["provenance"] is not None),
+    _wrong_values.map(lambda v: {**VALID_CODE, "field": {"q": v}}),
+    _wrong_values.filter(lambda v: v is not None).map(
+        lambda v: {**VALID_CODE, "field": {"q": 4, "poly": v}}
+    ),
+).flatmap(lambda doc: st.sampled_from([doc, {"results": {"code": doc}}]))
+
+_bad_params = st.sampled_from(sorted(VALID_PARAMS)).flatmap(
+    lambda name: st.tuples(
+        st.just(name),
+        st.one_of(
+            _non_objects,
+            _without(VALID_PARAMS[name]),
+            _retyped(VALID_PARAMS[name], VALID_PARAMS[name], _non_numbers),
+        ),
+    )
+)
+
+
+def _usage_error(argv) -> str:
+    """Run main() and return its stderr, asserting exit 2 and no stdout."""
+    err, out = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(out):
+        assert main(argv) == 2
+    assert out.getvalue() == ""
+    return err.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(doc=_bad_codes)
+def test_malformed_code_documents_are_usage_errors(doc, tmp_path_factory):
+    path = tmp_path_factory.mktemp("bad") / "code.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    err = _usage_error(["code", "info", "--code", str(path)])
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_bad_params)
+def test_malformed_bound_params_are_usage_errors(case):
+    name, params = case
+    err = _usage_error(["bounds", "eval", "--name", name, f"--params={json.dumps(params)}"])
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -143,18 +143,6 @@ def test_encode_linearity():
             assert c.encode(ax) == tuple(f.mul(a, u) for u in c.encode(x))
 
 
-def test_encode_array_matches_scalar_encode():
-    rng = np.random.default_rng(11)
-    for q in (3, 8):
-        f = field_new(q)
-        gen = rng.integers(0, q, size=(3, 5))
-        c = LinearCode(f, gen.tolist())
-        msgs = rng.integers(0, q, size=(40, 3))
-        fast = c.encode_array(msgs)
-        for i in range(40):
-            assert tuple(fast[i]) == c.encode(tuple(int(v) for v in msgs[i]))
-
-
 def test_codeword_matrix_is_exact_row_space():
     f = field_new(3)
     c = LinearCode(f, [[1, 0, 2, 1], [2, 0, 1, 2], [0, 1, 1, 0]])  # rank 2

@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import listlab.plurality as plurality
+from listlab.config import Budgets
 from listlab.errors import InfeasibleError
 from listlab.galois import field_new
 from listlab.linear_code import LinearCode, rs_code
@@ -281,8 +282,7 @@ def test_budget_and_mode_errors():
         is_avg_radius_list_decodable(
             RS5,
             ListDecQuery(Fraction(1, 3), 2, AVERAGE_RADIUS),
-            max_subsets=0,
-            max_received_words=0,
+            budgets=Budgets(max_subsets=1, max_received_words=1),
         )
     with pytest.raises(ValueError):
         is_list_decodable(RS5, ListDecQuery(Fraction(1, 3), 2, AVERAGE_RADIUS))

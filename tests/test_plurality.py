@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from listlab.config import Budgets
 from listlab.galois import field_new
 from listlab.linear_code import LinearCode, full_rs_code, hadamard_code
 from listlab.plurality import (
@@ -17,13 +18,12 @@ from listlab.plurality import (
     agreement,
     agreement_block,
     candidate_message_sets,
-    estimate_expected_max_agreement,
-    estimate_mean_max_deviation,
     index_to_message,
     iter_received_blocks,
     max_agreement_sum,
     plurality_mass,
     plurality_profile,
+    top_agreement_scan,
 )
 
 
@@ -172,10 +172,16 @@ def test_mass_routes_agree():
         q = int(rng.choice([2, 3]))
         code = _random_code(rng, q, 2, 4)
         L = int(rng.integers(2, min(4, code.size) + 1))
-        scan = plurality_mass(code, L, max_subsets=0)
-        subsets = plurality_mass(code, L, max_received_words=0)
-        assert scan.route == "scan" and subsets.route == "subsets"
-        assert scan.value == subsets.value
+        subsets = plurality_mass(code, L, budgets=Budgets(max_received_words=1))
+        assert subsets.route == "subsets"
+        if math.comb(code.size, L) > 1:
+            scan = plurality_mass(code, L, budgets=Budgets(max_subsets=1))
+            assert scan.route == "scan"
+            assert scan.value == subsets.value
+        else:
+            # a single subset fits every budget, so no budget forces the scan
+            best, _ = top_agreement_scan(code.codeword_matrix(), q, L)
+            assert Fraction(best, L) == subsets.value
 
 
 def test_mass_lower_bounds_below_exact():
@@ -204,66 +210,6 @@ def test_candidate_sets_deterministic_and_valid():
     assert a[0].messages[0] == (0, 0, 0)
     c = candidate_message_sets(f, 3, L=5, count=7, seed=43)
     assert [tuple(s) for s in a] != [tuple(s) for s in c]
-
-
-def test_estimate_e_list_size_one():
-    fam = CodeFamily("sampled-rs", field=field_new(5), k=2, n=6)
-    rep = estimate_expected_max_agreement(fam, L=1, n_candidates=3, code_draws=20, seed=7)
-    assert rep.value == 6.0
-    assert rep.std_error == 0.0
-    assert rep.lower_bound
-
-
-def test_estimate_e_single_column_exact_oracle():
-    q, k, L = 5, 2, 3
-    f = field_new(q)
-    fam = CodeFamily("sampled-rs", field=f, k=k, n=1)
-    seed, draws, n_cand = 11, 3000, 4
-    rep = estimate_expected_max_agreement(fam, L=L, n_candidates=n_cand, code_draws=draws, seed=seed)
-    # exact expectation: columns are uniform evaluation points
-    parent = full_rs_code(f, k)
-    cands = candidate_message_sets(f, k, L, n_cand, seed)
-    exact_means = []
-    for lam in cands:
-        words = [parent.encode(m) for m in lam]
-        per_alpha = []
-        for col in range(parent.n):
-            symbols = [w[col] for w in words]
-            per_alpha.append(max(symbols.count(s) for s in set(symbols)))
-        exact_means.append(sum(per_alpha) / parent.n)
-    exact = max(exact_means)
-    assert abs(rep.value - exact) <= 3 * max(rep.std_error, 1e-9) + 1e-9
-
-
-def test_estimate_f_fixed_family_is_zero():
-    code = full_rs_code(field_new(5), 2)
-    fam = CodeFamily("fixed", code=code)
-    rep = estimate_mean_max_deviation(fam, L=3, trials=30, seed=3)
-    assert rep.value == 0.0
-    assert rep.lower_bound
-
-
-def test_estimate_f_single_column_near_exact():
-    q, k, L = 3, 2, 2
-    f = field_new(q)
-    fam = CodeFamily("sampled-rs", field=f, k=k, n=1)
-    n_cand, trials, seed = 3, 4000, 19
-    rep = estimate_mean_max_deviation(fam, L=L, trials=trials, seed=seed, n_candidates=n_cand)
-    # exact: enumerate the single uniform column
-    parent = full_rs_code(f, k)
-    cands = candidate_message_sets(f, k, L, n_cand, seed)
-    mass = []
-    for lam in cands:
-        words = [parent.encode(m) for m in lam]
-        mass.append([
-            max([w[col] for w in words].count(s) for s in range(q)) / L
-            for col in range(parent.n)
-        ])
-    means = [sum(row) / len(row) for row in mass]
-    exact = L * sum(
-        max(abs(mass[ci][col] - means[ci]) for ci in range(n_cand)) for col in range(parent.n)
-    ) / parent.n
-    assert abs(rep.value - exact) <= 0.08
 
 
 def test_family_draws_reproducible():

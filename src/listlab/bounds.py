@@ -330,7 +330,13 @@ _BOUND_PARAMS = {
 
 
 def _is_real(v) -> bool:
-    return isinstance(v, Real) and not isinstance(v, bool)
+    """A number (not a bool) that converts to a finite float."""
+    if not isinstance(v, Real) or isinstance(v, bool):
+        return False
+    try:
+        return math.isfinite(float(v))
+    except OverflowError:
+        return False
 
 
 def _param_ok(key: str, v) -> bool:

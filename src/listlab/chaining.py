@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 import numpy as np
 
@@ -232,15 +231,11 @@ def build_nets(
         raise ValueError(f"need more than 2L = {2 * L} codewords, code has {code.size}")
     n, q = code.n, code.field.q
     log_l = math.log2(L)
-    words = np.array([code.encode(m) for m in lam0], dtype=np.int64)
-    q_base = plurality_profile(code, lam0).mass()
+    words = code.encode_all(lam0.messages)
     eta_v = params.eta
-
-    def counts_of(rows: np.ndarray) -> np.ndarray:
-        return plurality_counts_array(words[rows], q)[0].astype(np.int64)
-
     rows = np.arange(L)
-    counts = counts_of(rows)
+    counts = plurality_counts_array(words, q)[0]
+    q_base = Fraction(int(counts.sum()), L)
     coords = tuple(range(n))
     levels = [
         NetLevel(
@@ -248,7 +243,7 @@ def build_nets(
             coords=coords,
             lam=lam0,
             lam_size=L,
-            pl_sum=Fraction(int(counts.sum()), L),
+            pl_sum=q_base,
             q_bound=float(q_base),
             size_guard=L >= 4 / eta_v**2,
         )
@@ -275,7 +270,7 @@ def build_nets(
                 fails[0] += 1
                 retries_used += 1
                 continue
-            counts_new = counts_of(sub)
+            counts_new = plurality_counts_array(words[sub], q)[0]
             pl_new = counts_new / m_new
             ok = True
             if heavy.size:
@@ -512,8 +507,8 @@ def concentration_check(
     if L < 2:
         raise ValueError("need at least 2 codewords")
     q = code.field.q
-    words = np.array([code.encode(m) for m in lam], dtype=np.int64)
-    counts_full = plurality_counts_array(words, q)[0].astype(np.int64)
+    words = code.encode_all(lam.messages)
+    counts_full = plurality_counts_array(words, q)[0]
     n = code.n
     log_l = math.log2(L)
     pl_exact = tuple(Fraction(int(c), L) for c in counts_full)
@@ -521,18 +516,18 @@ def concentration_check(
     if L <= exact_limit:
         mode = "exact"
         total = 1 << L
-        sum1 = [Fraction(0)] * n
-        sum2 = [Fraction(0)] * n
+        # integer sums of |S| * |pl_j - pl_j(S)| * L and its square, so the
+        # moments are exact rationals until the final float conversion
+        sum1 = np.zeros(n, dtype=np.int64)
+        sum2 = np.zeros(n, dtype=np.int64)
         for bits in range(1, total):
             members = [i for i in range(L) if bits >> i & 1]
-            s = len(members)
             counts_s = plurality_counts_array(words[members], q)[0]
-            for j in range(n):
-                diff = abs(s * int(counts_full[j]) - L * int(counts_s[j]))
-                sum1[j] += Fraction(diff, L)
-                sum2[j] += Fraction(diff * diff, L * L)
-        m1 = [float(v / total) for v in sum1]
-        m2 = [float(v / total) for v in sum2]
+            diff = np.abs(len(members) * counts_full - L * counts_s)
+            sum1 += diff
+            sum2 += diff * diff
+        m1 = [float(Fraction(int(v), L * total)) for v in sum1]
+        m2 = [float(Fraction(int(v), L * L * total)) for v in sum2]
         trials_used = total
     else:
         mode = "sampled"

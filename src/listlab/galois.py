@@ -203,16 +203,12 @@ class Field:
             return (x + y) % self.q
         return np.bitwise_xor(x, y)
 
-    def scale_array(self, s: int, x: np.ndarray) -> np.ndarray:
-        self._check(s)
+    def scale_array(self, s, x: np.ndarray) -> np.ndarray:
+        """s * x elementwise; s is one element or an array broadcasting with x."""
         if self.kind == "prime":
             return (s * x) % self.q
-        if s == 0:
-            return np.zeros(x.shape, dtype=np.int64)
-        out = np.zeros(x.shape, dtype=np.int64)
-        nz = x != 0
-        out[nz] = self._exp_np[self._log_np[x[nz]] + self._log[s]]
-        return out
+        prod = self._exp_np[self._log_np[s] + self._log_np[x]]
+        return np.where((np.asarray(s) == 0) | (x == 0), 0, prod)
 
     # -- identity ---------------------------------------------------------
 

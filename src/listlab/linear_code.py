@@ -77,16 +77,22 @@ class LinearCode:
 
     def encode(self, message) -> tuple[int, ...]:
         """Codeword of a length-k message vector (x^T G)."""
-        if len(message) != self.k:
-            raise ValueError(f"message length {len(message)} != k = {self.k}")
-        f = self.field
-        word = [0] * self.n
-        for xi, row in zip(message, self.generator):
-            if xi == 0:
-                continue
-            for j, gij in enumerate(row):
-                word[j] = f.add(word[j], f.mul(xi, gij))
-        return tuple(word)
+        return tuple(self.encode_all([message])[0].tolist())
+
+    def encode_all(self, messages) -> np.ndarray:
+        """(m, n) codewords of m length-k messages, one row per message.
+
+        A symbol that is not an integer in [0, q), or a message of the wrong
+        length, is a ValueError.
+        """
+        msgs = np.asarray(messages)
+        if msgs.dtype.kind not in "iu" or msgs.ndim != 2 or msgs.shape[1] != self.k:
+            raise ValueError(f"messages must be length-k integer vectors, k = {self.k}")
+        symbols, digits = np.unique(msgs, return_inverse=True)
+        self.field._check(*symbols.tolist())
+        rows = np.array(self.generator, dtype=np.int64)
+        tables = _scaled_rows(self.field, rows, symbols.astype(np.int64))
+        return _combine(self.field, tables, digits.reshape(msgs.shape).T)
 
     # -- row-space enumeration ---------------------------------------------
 
@@ -108,21 +114,11 @@ class LinearCode:
         if r == 0:
             yield np.zeros((1, self.n), dtype=np.int64)
             return
-        f = self.field
-        tables = [
-            np.stack([f.scale_array(a, np.array(row, dtype=np.int64)) for a in range(q)])
-            for row in basis
-        ]
+        tables = _scaled_rows(self.field, np.array(basis, dtype=np.int64), np.arange(q))
+        powers = q ** np.arange(r - 1, -1, -1, dtype=np.int64)[:, None]
         for start in range(0, n_words, chunk):
             idx = np.arange(start, min(start + chunk, n_words))
-            acc = None
-            rem = idx
-            for i in range(r - 1, -1, -1):
-                digits = rem % q
-                rem = rem // q
-                part = tables[i][digits]
-                acc = part if acc is None else f.add_array(acc, part)
-            yield acc
+            yield _combine(self.field, tables, idx // powers % q)
 
     def min_distance_exact(self, *, budgets: Budgets = Budgets()) -> Fraction:
         """Exact relative minimum distance by full row-space enumeration."""
@@ -192,6 +188,20 @@ def code_to_json(code: LinearCode) -> str:
 
 def code_from_json(text: str) -> LinearCode:
     return code_from_json_dict(json.loads(text))
+
+
+def _scaled_rows(field: Field, rows: np.ndarray, symbols: np.ndarray) -> np.ndarray:
+    """(r, len(symbols), n) table whose entry [i, s] is symbols[s] * rows[i]."""
+    return field.scale_array(symbols[None, :, None], rows[:, None, :])
+
+
+def _combine(field: Field, tables: np.ndarray, digits: np.ndarray) -> np.ndarray:
+    """(m, n) sums over i of tables[i][digits[i]]: the linear combinations of
+    the tabled rows whose coefficient indices are the columns of digits."""
+    acc = tables[0].take(digits[0], axis=0)
+    for i in range(1, len(tables)):
+        acc = field.add_array(acc, tables[i].take(digits[i], axis=0))
+    return acc
 
 
 def _row_reduce(field: Field, rows) -> tuple[tuple[int, ...], ...]:

@@ -11,7 +11,6 @@ report payloads.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -58,13 +57,11 @@ class MessageSet:
 class PluralityProfile:
     """Per-coordinate plurality data for a fixed codeword set of size L.
 
-    tallies[j] lists (symbol, count) pairs sorted by symbol; counts[j] is
-    the plurality count; maximizers[j] is the smallest symbol attaining it.
+    counts[j] is the plurality count at coordinate j; maximizers[j] is the
+    smallest symbol attaining it.
     """
 
     size: int
-    length: int
-    tallies: tuple[tuple[tuple[int, int], ...], ...]
     counts: tuple[int, ...]
     maximizers: tuple[int, ...]
 
@@ -72,54 +69,29 @@ class PluralityProfile:
     def pl(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(c, self.size) for c in self.counts)
 
-    def support(self, j: int) -> tuple[int, ...]:
-        return tuple(s for s, _ in self.tallies[j])
-
-    def count(self, j: int, symbol: int) -> int:
-        for s, c in self.tallies[j]:
-            if s == symbol:
-                return c
-        return 0
-
     def mass(self) -> Fraction:
         """Sum of the plurality fractions over all coordinates."""
         return Fraction(sum(self.counts), self.size)
 
 
-def profile_from_words(words) -> PluralityProfile:
-    words = [tuple(w) for w in words]
-    n = len(words[0])
-    tallies = []
-    counts = []
-    maximizers = []
-    for j in range(n):
-        tally = Counter(w[j] for w in words)
-        best = max(tally.values())
-        counts.append(best)
-        maximizers.append(min(s for s, c in tally.items() if c == best))
-        tallies.append(tuple(sorted(tally.items())))
-    return PluralityProfile(
-        size=len(words),
-        length=n,
-        tallies=tuple(tallies),
-        counts=tuple(counts),
-        maximizers=tuple(maximizers),
-    )
-
-
 def plurality_profile(code: LinearCode, lam: MessageSet) -> PluralityProfile:
     """Plurality profile of the codewords of a message set."""
-    return profile_from_words([code.encode(m) for m in lam])
+    counts, maximizers = plurality_counts_array(code.encode_all(lam.messages), code.field.q)
+    return PluralityProfile(len(lam), tuple(counts.tolist()), tuple(maximizers.tolist()))
 
 
 def plurality_counts_array(words: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
-    """(plurality counts, smallest maximizing symbol) per coordinate, vectorized.
+    """(plurality counts, smallest maximizing symbol) per coordinate.
 
-    words is an (L, n) integer array; ties resolve to the smallest symbol
-    because argmax returns the first maximum.
+    words is an (L, n) integer array over [0, q). One bincount over
+    words[i, j] + q*j tallies every (coordinate, symbol) pair in O(L*n + q*n)
+    memory; ties resolve to the smallest symbol because argmax returns the
+    first maximum.
     """
-    symbol_counts = (words[None, :, :] == np.arange(q)[:, None, None]).sum(axis=1)
-    return symbol_counts.max(axis=0), symbol_counts.argmax(axis=0)
+    n = words.shape[1]
+    keys = (words + q * np.arange(n)).ravel()
+    symbol_counts = np.bincount(keys, minlength=q * n).reshape(n, q)
+    return symbol_counts.max(axis=1), symbol_counts.argmax(axis=1)
 
 
 def max_agreement_sum(code: LinearCode, lam: MessageSet) -> tuple[int, tuple[int, ...]]:
@@ -258,9 +230,11 @@ def _top_sums(hist: np.ndarray, ks) -> tuple[np.ndarray, np.ndarray]:
     return sums, tail_max
 
 
-def received_word(q: int, n: int, index: int) -> tuple[int, ...]:
+def index_to_message(q: int, k: int, index: int) -> tuple[int, ...]:
+    """The index-th length-k word over [0, q) in lexicographic order, first
+    coordinate most significant."""
     digits = []
-    for _ in range(n):
+    for _ in range(k):
         index, d = divmod(index, q)
         digits.append(d)
     return tuple(reversed(digits))
@@ -316,14 +290,15 @@ def top_agreement_scan(words: np.ndarray, q: int, top: int):
 
 def _scan_witness(words: np.ndarray, q: int, top: int, z_index: int):
     n = words.shape[1]
-    z = received_word(q, n, z_index)
+    z = index_to_message(q, n, z_index)
     agr = agreement_block(np.array([z], dtype=np.int64), words)[0]
     order = np.argsort(-agr, kind="stable")[:top]
     chosen = sorted(int(i) for i in order)
     return tuple(tuple(int(v) for v in words[i]) for i in chosen), z
 
 
-def _mass_by_subsets(words: np.ndarray, q: int, L: int) -> tuple[int, tuple[int, ...]]:
+def _mass_by_subsets(words: np.ndarray, q: int, L: int) -> list[int]:
+    """Rows of the first L-set, in DFS order, with the largest plurality-count sum."""
     n = words.shape[1]
     rows = [tuple(int(v) for v in w) for w in words]
     counts = [[0] * q for _ in range(n)]
@@ -346,7 +321,36 @@ def _mass_by_subsets(words: np.ndarray, q: int, L: int) -> tuple[int, tuple[int,
                 counts[j][s] -= 1
 
     visit([], 0)
-    return best[0], best[1]
+    return list(best[1])
+
+
+def _greedy_rows(words: np.ndarray, q: int, L: int) -> np.ndarray:
+    """Sorted rows of a greedy L-set: start from row 0, then add the first row
+    whose addition gives the largest plurality-count sum."""
+    n_words, n = words.shape
+    cols = np.arange(n)
+    counts = np.zeros((n, q), dtype=np.int64)
+    counts[cols, words[0]] = 1
+    taken = np.zeros(n_words, dtype=bool)
+    taken[0] = True
+    for _ in range(L - 1):
+        gains = np.maximum(counts.max(axis=1), counts[cols, words] + 1).sum(axis=1)
+        gains[taken] = -1
+        best = int(gains.argmax())
+        taken[best] = True
+        counts[cols, words[best]] += 1
+    return np.nonzero(taken)[0]
+
+
+def _mass_result(words, rows, q, exact, mode, route) -> MassResult:
+    """MassResult of the codeword set words[rows], with its plurality word as
+    the witness received word."""
+    counts, z = plurality_counts_array(words[rows], q)
+    witness = tuple(tuple(w) for w in words[rows].tolist())
+    L = len(witness)
+    return MassResult(
+        L, Fraction(int(counts.sum()), L), exact, not exact, mode, route, witness, tuple(z.tolist())
+    )
 
 
 def plurality_mass(
@@ -386,52 +390,20 @@ def plurality_mass(
             value, z_idx = top_agreement_scan(words, q, L)
             witness, z = _scan_witness(words, q, L, z_idx)
             return MassResult(L, Fraction(value, L), True, False, mode, "scan", witness, z)
-        value, chosen = _mass_by_subsets(words, q, L)
-        witness_words = [tuple(int(v) for v in words[i]) for i in chosen]
-        prof = profile_from_words(witness_words)
-        return MassResult(
-            L, Fraction(value, L), True, False, mode, "subsets", tuple(witness_words), prof.maximizers
-        )
+        return _mass_result(words, _mass_by_subsets(words, q, L), q, True, mode, "subsets")
 
     if mode == "greedy":
-        chosen = [0]
-        tallies = [Counter([int(words[0, j])]) for j in range(code.n)]
-        while len(chosen) < L:
-            best_gain, best_row = -1, None
-            for i in range(n_words):
-                if i in chosen:
-                    continue
-                total = 0
-                for j in range(code.n):
-                    t = tallies[j]
-                    s = int(words[i, j])
-                    cur = max(t.values())
-                    total += max(cur, t[s] + 1)
-                if total > best_gain:
-                    best_gain, best_row = total, i
-            chosen.append(best_row)
-            for j in range(code.n):
-                tallies[j][int(words[best_row, j])] += 1
-        witness_words = tuple(tuple(int(v) for v in words[i]) for i in sorted(chosen))
-        prof = profile_from_words(witness_words)
-        return MassResult(
-            L, Fraction(sum(prof.counts), L), False, True, mode, None, witness_words, prof.maximizers
-        )
+        return _mass_result(words, _greedy_rows(words, q, L), q, False, mode, None)
 
     if mode == "sampled":
         rng = rng_for(seed, 0)
         best_val, best_rows = -1, None
         for _ in range(trials):
             rows = np.sort(rng.choice(n_words, size=L, replace=False))
-            cnt, _ = plurality_counts_array(words[rows], q)
-            total = int(cnt.sum())
+            total = int(plurality_counts_array(words[rows], q)[0].sum())
             if total > best_val:
                 best_val, best_rows = total, rows
-        witness_words = tuple(tuple(int(v) for v in words[i]) for i in best_rows)
-        prof = profile_from_words(witness_words)
-        return MassResult(
-            L, Fraction(best_val, L), False, True, mode, None, witness_words, prof.maximizers
-        )
+        return _mass_result(words, best_rows, q, False, mode, None)
 
     raise ValueError(f"unknown mode {mode!r}")
 
@@ -477,14 +449,6 @@ class CodeFamily:
     def descriptor(self) -> dict:
         return {"kind": self.kind, "q": self.field.q, "poly": self.field.poly,
                 "k": self.k, "n": self.n}
-
-
-def index_to_message(q: int, k: int, index: int) -> tuple[int, ...]:
-    digits = []
-    for _ in range(k):
-        index, d = divmod(index, q)
-        digits.append(d)
-    return tuple(reversed(digits))
 
 
 def _sample_distinct(rng: np.random.Generator, total: int, count: int) -> list[int]:

@@ -238,6 +238,34 @@ def test_concentration_exact_two_codewords():
     assert rep.satisfied_with_configured
 
 
+def _exact_moments_reference(code, lam):
+    """Half-subset moments summed subset by subset in Fractions."""
+    words = np.array([code.encode(m) for m in lam])
+    L, q = len(lam), code.field.q
+    full = plurality_counts_array(words, q)[0]
+    sum1 = [Fraction(0)] * code.n
+    sum2 = [Fraction(0)] * code.n
+    for bits in range(1, 1 << L):
+        members = [i for i in range(L) if bits >> i & 1]
+        counts_s = plurality_counts_array(words[members], q)[0]
+        for j in range(code.n):
+            diff = abs(len(members) * int(full[j]) - L * int(counts_s[j]))
+            sum1[j] += Fraction(diff, L)
+            sum2[j] += Fraction(diff * diff, L * L)
+    return tuple(float(v / (1 << L)) for v in sum1), tuple(float(v / (1 << L)) for v in sum2)
+
+
+def test_concentration_exact_matches_fraction_reference():
+    rng = np.random.default_rng(12)
+    for q, k, n, L in ((3, 2, 9, 7), (5, 2, 6, 9), (2, 4, 8, 10)):
+        code = LinearCode(field_new(q), rng.integers(0, q, size=(k, n)).tolist())
+        idxs = rng.choice(q**k, size=L, replace=False)
+        lam = MessageSet(tuple(index_to_message(q, k, int(i)) for i in idxs))
+        rep = concentration_check(code, lam, seed=1)
+        assert rep.mode == "exact"
+        assert (rep.first_moment, rep.second_moment) == _exact_moments_reference(code, lam)
+
+
 def test_concentration_constant_column_zero_deviation():
     # all codewords share coordinate 2, so the deviation vanishes there
     code = LinearCode(F2, [[1, 1, 0]])

@@ -224,6 +224,10 @@ def test_usage_errors(rs_path, tmp_path):
     for name, params in (
         ("capacity", '{"q": 0, "eps": 0.1}'),
         ("johnson-eps", '{"n": 5, "q": 0, "L": 2, "eps": 0.5, "pair_sum": 1.0}'),
+        # numbers that do not convert to a finite float
+        ("entropy", '{"q": 3, "x": 1%s}' % ("0" * 400)),
+        ("capacity", '{"q": 3, "eps": Infinity}'),
+        ("hoeffding", '{"ranges": [[0, NaN]], "v": 1}'),
     ):
         assert main(["bounds", "eval", "--name", name, "--params", params]) == 2
 
@@ -396,3 +400,17 @@ def test_malformed_bound_params_are_usage_errors(case):
     name, params = case
     err = _usage_error(["bounds", "eval", "--name", name, f"--params={json.dumps(params)}"])
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", [
+    ["plurality", "profile"], ["plurality", "maxagr"], ["chain", "build"],
+])
+@pytest.mark.parametrize("messages,reason", [
+    ("0,0;0,9", "9 is not an element of GF(5)"),
+    ("0,0;0,-1", "-1 is not an element of GF(5)"),
+    ("0,0,0;1,2,3", "length-k integer vectors"),
+])
+def test_messages_outside_the_field_are_usage_errors(rs_path, command, messages, reason):
+    err = _usage_error([*command, "--code", rs_path, f"--messages={messages}"])
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert reason in err

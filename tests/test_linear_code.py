@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from listlab.errors import InfeasibleError
 from listlab.galois import field_new
@@ -141,6 +143,53 @@ def test_encode_linearity():
             )
             ax = [f.mul(a, u) for u in x]
             assert c.encode(ax) == tuple(f.mul(a, u) for u in c.encode(x))
+
+
+def _encode_reference(code, message):
+    """x^T G with scalar field arithmetic, one symbol at a time."""
+    f = code.field
+    word = [0] * code.n
+    for xi, row in zip(message, code.generator):
+        for j, gij in enumerate(row):
+            word[j] = f.add(word[j], f.mul(xi, gij))
+    return tuple(word)
+
+
+# prime fields, GF(2^m) on default moduli, and GF(16) on x^4+x^3+x^2+x+1,
+# irreducible but not primitive
+ENCODE_FIELDS = [(2, None), (5, None), (101, None), (4, None), (16, None), (256, None),
+                 (16, 0b11111)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(field=st.sampled_from(ENCODE_FIELDS), data=st.data())
+def test_encode_all_matches_scalar_reference(field, data):
+    f = field_new(*field)
+    k, n = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 7))
+    sym = st.integers(0, f.q - 1)
+    gen = data.draw(st.lists(st.lists(sym, min_size=n, max_size=n), min_size=k, max_size=k))
+    msgs = data.draw(st.lists(st.lists(sym, min_size=k, max_size=k), min_size=1, max_size=10))
+    code = LinearCode(f, gen)
+    words = code.encode_all(msgs)
+    assert words.shape == (len(msgs), n) and words.dtype == np.int64
+    assert [tuple(w) for w in words.tolist()] == [_encode_reference(code, m) for m in msgs]
+    assert code.encode(msgs[0]) == _encode_reference(code, msgs[0])
+    # the row-space enumeration is the encoder applied to the reduced basis
+    r = code.rank()
+    if r and f.q**r <= 512:
+        coeffs = list(itertools.product(range(f.q), repeat=r))
+        expected = LinearCode(f, code.basis()).encode_all(coeffs)
+        assert np.array_equal(code.codeword_matrix(), expected)
+
+
+@pytest.mark.parametrize("message", [(0, 5), (0, -1), (2**70, 0), (2**63, 0), (1.5, 0),
+                                     (1, 2, 3), (1,)])
+def test_encode_rejects_symbols_outside_the_field(message):
+    code = rs_code(field_new(5), 2, [0, 1, 2])
+    with pytest.raises(ValueError):
+        code.encode(message)
+    with pytest.raises(ValueError):
+        code.encode_all([(0, 0), message])
 
 
 def test_codeword_matrix_is_exact_row_space():

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -21,6 +22,7 @@ from listlab.plurality import (
     index_to_message,
     iter_received_blocks,
     max_agreement_sum,
+    plurality_counts_array,
     plurality_mass,
     plurality_profile,
     top_agreement_scan,
@@ -88,8 +90,6 @@ def test_profile_frozen_binary_example():
     prof = plurality_profile(code, lam)
     assert prof.pl == (Fraction(2, 3), Fraction(2, 3))
     assert prof.maximizers == (0, 1)
-    assert prof.count(0, 0) == 2 and prof.count(0, 1) == 1
-    assert prof.support(1) == (0, 1)
     value, witness = max_agreement_sum(code, lam)
     assert value == 4
     assert witness == (0, 1)
@@ -149,6 +149,75 @@ def test_count_monotonicity_under_restriction():
         small = plurality_profile(code, MessageSet(tuple(sub)))
         for j in range(code.n):
             assert small.counts[j] <= big.counts[j]
+
+
+def _counts_reference(words):
+    """(plurality counts, smallest maximizing symbols) from Counter tallies."""
+    counts, maximizers = [], []
+    for j in range(len(words[0])):
+        tally = Counter(w[j] for w in words)
+        best = max(tally.values())
+        counts.append(best)
+        maximizers.append(min(s for s, c in tally.items() if c == best))
+    return counts, maximizers
+
+
+@settings(max_examples=100, deadline=None)
+@given(q=st.sampled_from([2, 3, 5, 16, 1 << 16]), data=st.data())
+def test_plurality_counts_match_counter_reference(q, data):
+    n = data.draw(st.integers(1, 8))
+    # a few symbols per coordinate, so ties are common
+    pool = data.draw(st.lists(st.integers(0, q - 1), min_size=1, max_size=4))
+    words = data.draw(st.lists(
+        st.lists(st.sampled_from(pool), min_size=n, max_size=n), min_size=1, max_size=10
+    ))
+    counts, maximizers = plurality_counts_array(np.array(words, dtype=np.int64), q)
+    assert (counts.tolist(), maximizers.tolist()) == _counts_reference(words)
+
+
+def test_plurality_counts_over_gf_2_16():
+    words = [[65535, 0, 7], [0, 65535, 7], [65535, 9, 65535]]
+    counts, maximizers = plurality_counts_array(np.array(words), 1 << 16)
+    assert counts.tolist() == [2, 1, 2] and maximizers.tolist() == [65535, 0, 7]
+    assert (counts.tolist(), maximizers.tolist()) == _counts_reference(words)
+
+
+def _greedy_reference(words, L):
+    """The greedy L-set built with per-coordinate Counter tallies: start from
+    row 0, then add the first row with the largest plurality-count sum."""
+    n = words.shape[1]
+    chosen = [0]
+    tallies = [Counter([int(words[0, j])]) for j in range(n)]
+    while len(chosen) < L:
+        best_gain, best_row = -1, None
+        for i in range(len(words)):
+            if i in chosen:
+                continue
+            gain = 0
+            for j, t in enumerate(tallies):
+                gain += max(max(t.values()), t[int(words[i, j])] + 1)
+            if gain > best_gain:
+                best_gain, best_row = gain, i
+        chosen.append(best_row)
+        for j in range(n):
+            tallies[j][int(words[best_row, j])] += 1
+    witness = tuple(tuple(int(v) for v in words[i]) for i in sorted(chosen))
+    counts, maximizers = _counts_reference(witness)
+    return Fraction(sum(counts), L), witness, tuple(maximizers)
+
+
+def test_greedy_mass_matches_counter_reference():
+    rng = np.random.default_rng(31)
+    for _ in range(40):
+        q = int(rng.choice([2, 3, 4, 5, 8]))
+        code = _random_code(rng, q, int(rng.integers(1, 4)), int(rng.integers(2, 7)))
+        if code.size > 200:
+            continue
+        L = int(rng.integers(1, min(code.size, 8) + 1))
+        res = plurality_mass(code, L, "greedy")
+        ref = _greedy_reference(code.codeword_matrix(), L)
+        assert (res.value, res.witness_codewords, res.witness_received) == ref
+        assert not res.exact and res.lower_bound
 
 
 def test_mass_list_size_one_is_block_length():

@@ -17,6 +17,8 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from numbers import Real
 
+from .reports import Record
+
 _LOG2 = math.log(2.0)
 
 
@@ -25,7 +27,7 @@ def _log2(x: float) -> float:
 
 
 @dataclass(frozen=True)
-class ConstantsConfig:
+class ConstantsConfig(Record):
     """Tunable constants for the sampled-code bound and the chaining checks.
 
     Defaults are 1.0 except the chaining knobs: c1 defaults to 16.0 so the
@@ -54,9 +56,6 @@ class ConstantsConfig:
         if self.c1 < 16 * self.C5:
             raise ValueError(f"chaining requires c1 >= 16*C5, got c1={self.c1}, C5={self.C5}")
 
-    def as_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
 
 def constants_from_dict(doc: dict) -> ConstantsConfig:
     known = {f.name for f in fields(ConstantsConfig)}
@@ -67,28 +66,16 @@ def constants_from_dict(doc: dict) -> ConstantsConfig:
 
 
 @dataclass(frozen=True)
-class BoundReport:
-    """One evaluated bound: name, echoed inputs, value, optional target."""
+class BoundReport(Record):
+    """One evaluated bound: name, echoed inputs, value."""
 
     name: str
-    inputs: tuple[tuple[str, object], ...]
+    inputs: dict
     value: float
-    target: float | None = None
 
     def __post_init__(self):
         if not math.isfinite(self.value):
             raise ValueError(f"bound value must be finite, got {self.value}")
-
-    @property
-    def margin(self) -> float | None:
-        return None if self.target is None else self.value - self.target
-
-    def as_dict(self) -> dict:
-        doc = {"name": self.name, "inputs": dict(self.inputs), "value": self.value}
-        if self.target is not None:
-            doc["target"] = self.target
-            doc["margin"] = self.margin
-        return doc
 
 
 # -- entropy and capacity ------------------------------------------------------
@@ -255,16 +242,6 @@ class RateSummary:
     def beats_johnson(self) -> bool:
         return self.rs_rate > self.johnson_rate
 
-    def as_dict(self) -> dict:
-        return {
-            "q": self.q,
-            "eps": self.eps,
-            "rs_rate": self.rs_rate,
-            "rlc_rate": self.rlc_rate,
-            "johnson_rate": self.johnson_rate,
-            "beats_johnson": self.beats_johnson,
-        }
-
 
 def rate_summary(q: int, eps: float, cfg: ConstantsConfig | None = None) -> RateSummary:
     """Rates of the sampled evaluation-point and sampled linear constructions
@@ -390,4 +367,4 @@ def evaluate_bound(name: str, params: dict, cfg: ConstantsConfig | None = None) 
         value = hoeffding_tail(p["ranges"], p["v"])
     else:
         value = gaussian_max_bound(p["sigma"], p["n"])
-    return BoundReport(name, tuple(sorted(p.items())), float(value))
+    return BoundReport(name, p, float(value))

@@ -34,6 +34,7 @@ from .plurality import (
     plurality_mass,
     plurality_profile,
 )
+from .reports import Record
 from .seeds import rng_for
 
 DEFAULT_RETRY_LIMIT = 200
@@ -43,7 +44,7 @@ DEFAULT_RETRY_LIMIT = 200
 
 
 @dataclass(frozen=True)
-class ChainParams:
+class ChainParams(Record):
     """Knobs for one net hierarchy: level count, halving width, heaviness."""
 
     list_size: int
@@ -57,17 +58,6 @@ class ChainParams:
     def q_bound(self, q_base: float, t: int) -> float:
         """Level-t budget for the heavy plurality sum: (1+eta)^t * q_base."""
         return (1 + self.eta) ** t * q_base
-
-    def as_dict(self) -> dict:
-        return {
-            "list_size": self.list_size,
-            "eta": self.eta,
-            "t_max": self.t_max,
-            "gamma": self.gamma,
-            "constants": self.constants.as_dict(),
-            "retry_limit": self.retry_limit,
-            "degenerate": self.degenerate,
-        }
 
 
 def chain_params(
@@ -106,7 +96,7 @@ def chain_params(
 
 
 @dataclass(frozen=True)
-class NetLevel:
+class NetLevel(Record):
     """One level of the hierarchy plus its step diagnostics.
 
     Step fields describe the move from the previous level and are None at
@@ -127,25 +117,13 @@ class NetLevel:
     holder_rhs: float | None = None
 
     def as_dict(self) -> dict:
-        return {
-            "level": self.level,
-            "coords": list(self.coords),
-            "messages": [list(m) for m in self.lam],
-            "lam_size": self.lam_size,
-            "pl_sum": str(self.pl_sum),
-            "pl_sum_float": float(self.pl_sum),
-            "q_bound": self.q_bound,
-            "size_guard": self.size_guard,
-            "retries": self.retries,
-            "step_distance": self.step_distance,
-            "width_rhs": self.width_rhs,
-            "holder_lhs": self.holder_lhs,
-            "holder_rhs": self.holder_rhs,
-        }
+        doc = super().as_dict()
+        doc["messages"] = [list(m) for m in doc.pop("lam")]
+        return {**doc, "pl_sum_float": float(self.pl_sum)}
 
 
 @dataclass(frozen=True)
-class NetBuildResult:
+class NetBuildResult(Record):
     """Outcome of one hierarchy construction."""
 
     params: ChainParams
@@ -160,19 +138,7 @@ class NetBuildResult:
     log2_net_sizes: tuple[float, ...]
 
     def as_dict(self) -> dict:
-        return {
-            "params": self.params.as_dict(),
-            "levels": [lv.as_dict() for lv in self.levels],
-            "success": self.success,
-            "failed_level": self.failed_level,
-            "condition_failures": list(self.condition_failures),
-            "q_base": str(self.q_base),
-            "q_base_float": float(self.q_base),
-            "min_sufficient_c4": self.min_sufficient_c4,
-            "increment_scales": list(self.increment_scales),
-            "union_bound_terms": list(self.union_bound_terms),
-            "log2_net_sizes": list(self.log2_net_sizes),
-        }
+        return {**super().as_dict(), "q_base_float": float(self.q_base)}
 
 
 def _log2_binomial(n: int, k: int) -> float:
@@ -376,7 +342,7 @@ def _finish(code, params, levels, success, failed_level, fails, q_base, min_c4, 
 
 
 @dataclass(frozen=True)
-class GaussianSampleReport:
+class GaussianSampleReport(Record):
     """Empirical summary of X(I, Lambda) over a family of (I, Lambda) pairs."""
 
     trials: int
@@ -392,16 +358,7 @@ class GaussianSampleReport:
         return float(self.variances_exact[pair]) * math.sqrt(2 / (self.trials - 1))
 
     def as_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "pair_count": self.pair_count,
-            "variances_exact": [str(v) for v in self.variances_exact],
-            "variances_float": [float(v) for v in self.variances_exact],
-            "empirical_means": list(self.empirical_means),
-            "empirical_variances": list(self.empirical_variances),
-            "mean_abs_max": self.mean_abs_max,
-            "seed": self.seed,
-        }
+        return {**super().as_dict(), "variances_float": [float(v) for v in self.variances_exact]}
 
 
 def gaussian_process_sample(
@@ -451,7 +408,7 @@ def gaussian_process_sample(
 
 
 @dataclass(frozen=True)
-class ConcentrationReport:
+class ConcentrationReport(Record):
     """Per-coordinate moments of the half-subset plurality deviation."""
 
     mode: str
@@ -466,22 +423,6 @@ class ConcentrationReport:
     configured_c5: float
     satisfied_with_configured: bool
     seed: int
-
-    def as_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "trials": self.trials,
-            "set_size": self.set_size,
-            "pl": [str(v) for v in self.pl],
-            "first_moment": list(self.first_moment),
-            "second_moment": list(self.second_moment),
-            "first_bound": list(self.first_bound),
-            "second_bound": list(self.second_bound),
-            "min_sufficient_c5": self.min_sufficient_c5,
-            "configured_c5": self.configured_c5,
-            "satisfied_with_configured": self.satisfied_with_configured,
-            "seed": self.seed,
-        }
 
 
 def concentration_check(
@@ -578,7 +519,7 @@ def concentration_check(
 
 
 @dataclass(frozen=True)
-class SymmetrizationReport:
+class SymmetrizationReport(Record):
     """Deviation / Rademacher / Gaussian comparison for a random code family."""
 
     deviation: float
@@ -595,24 +536,6 @@ class SymmetrizationReport:
     deviation_vs_rademacher_ok: bool
     rademacher_vs_gaussian_ok: bool
     seed: int
-
-    def as_dict(self) -> dict:
-        return {
-            "deviation": self.deviation,
-            "deviation_se": self.deviation_se,
-            "rademacher": self.rademacher,
-            "rademacher_se": self.rademacher_se,
-            "gaussian": self.gaussian,
-            "gaussian_se": self.gaussian_se,
-            "trials": self.trials,
-            "pilot_trials": self.pilot_trials,
-            "lambda_sets": self.lambda_sets,
-            "lambda_family": self.lambda_family,
-            "family": self.family,
-            "deviation_vs_rademacher_ok": self.deviation_vs_rademacher_ok,
-            "rademacher_vs_gaussian_ok": self.rademacher_vs_gaussian_ok,
-            "seed": self.seed,
-        }
 
 
 def _pl_matrix(code: LinearCode, lams: list[MessageSet]) -> np.ndarray:
@@ -689,7 +612,7 @@ def symmetrization_check(
 
 
 @dataclass(frozen=True)
-class SupremumReport:
+class SupremumReport(Record):
     """Empirical E max |X| against C3 * sqrt(Q * log2(N) * log2(L)^5)."""
 
     empirical: float
@@ -704,19 +627,7 @@ class SupremumReport:
     seed: int
 
     def as_dict(self) -> dict:
-        return {
-            "empirical": self.empirical,
-            "target": self.target,
-            "min_sufficient_c3": self.min_sufficient_c3,
-            "q_hat": str(self.q_hat),
-            "q_hat_float": float(self.q_hat),
-            "q_hat_exact": self.q_hat_exact,
-            "lambda_sets": self.lambda_sets,
-            "trials": self.trials,
-            "configured_c3": self.configured_c3,
-            "satisfied": self.satisfied,
-            "seed": self.seed,
-        }
+        return {**super().as_dict(), "q_hat_float": float(self.q_hat)}
 
 
 def gaussian_supremum_experiment(

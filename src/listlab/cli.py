@@ -71,6 +71,14 @@ def _parse_messages(text: str) -> MessageSet:
     return MessageSet(msgs)
 
 
+def _fraction(text: str, flag: str) -> Fraction:
+    """Parse a fraction argument such as 1/2; a zero denominator is a usage error."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"{flag} has a zero denominator: {text!r}") from None
+
+
 def _load_code(path: str) -> LinearCode:
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -294,7 +302,7 @@ def _run(args, cfg: RunConfig) -> tuple[dict, list[str] | None, list[list] | Non
     if args.group == "oracle":
         code = _load_code(code_arg)
         if args.action == "check":
-            query = ListDecQuery(Fraction(args.radius), args.list_bound, args.mode)
+            query = ListDecQuery(_fraction(args.radius, "--radius"), args.list_bound, args.mode)
             if args.mode == STANDARD:
                 cert = is_list_decodable(
                     code,
@@ -322,7 +330,7 @@ def _run(args, cfg: RunConfig) -> tuple[dict, list[str] | None, list[list] | Non
             rep = evaluate_bound(args.name, params, cfg.constants)
             return {"bound": rep.as_dict()}, None, None, 0
         qs = [int(v) for v in args.q_grid.split(",")]
-        epss = [Fraction(v) for v in args.eps_grid.split(",")]
+        epss = [_fraction(v, "--eps-grid") for v in args.eps_grid.split(",")]
         header = REPO_CSV_COLUMNS["bounds table"]
         rows = []
         table = []
@@ -428,7 +436,7 @@ def _run(args, cfg: RunConfig) -> tuple[dict, list[str] | None, list[list] | Non
             rep = experiment_corollary(
                 args.variant,
                 args.q,
-                Fraction(args.eps),
+                _fraction(args.eps, "--eps"),
                 args.k,
                 draws=args.draws,
                 cfg=cfg.constants,

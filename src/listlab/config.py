@@ -2,8 +2,8 @@
 
 The config file is JSON with up to three keys: "constants" (see
 ConstantsConfig), "budgets" (enumeration caps for the exhaustive routines),
-and "defaults" (currently only the eta rule for the net hierarchy, recorded
-for provenance; the rule itself is fixed).
+and "defaults" (only the eta rule for the net hierarchy, which must be the
+fixed DEFAULT_ETA_RULE; reports echo it for provenance).
 """
 
 from __future__ import annotations
@@ -13,12 +13,13 @@ from dataclasses import dataclass, field
 
 from .bounds import ConstantsConfig, constants_from_dict
 from .errors import InfeasibleError
+from .reports import Record
 
 DEFAULT_ETA_RULE = "1/log2(L)"
 
 
 @dataclass(frozen=True)
-class Budgets:
+class Budgets(Record):
     """Caps on exhaustive enumeration sizes, and the checks that charge them.
 
     Every exact computation takes one of these as its `budgets` keyword and
@@ -56,13 +57,6 @@ class Budgets:
                 f"{what} needs {cost} comparisons, budget {self.max_received_words}"
             )
 
-    def as_dict(self) -> dict:
-        return {
-            "max_codewords": self.max_codewords,
-            "max_received_words": self.max_received_words,
-            "max_subsets": self.max_subsets,
-        }
-
 
 def budgets_from_dict(data: dict) -> Budgets:
     unknown = set(data) - {"max_codewords", "max_received_words", "max_subsets"}
@@ -72,19 +66,14 @@ def budgets_from_dict(data: dict) -> Budgets:
 
 
 @dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Record):
     """Everything a command needs beyond its own arguments."""
 
     constants: ConstantsConfig = field(default_factory=ConstantsConfig)
     budgets: Budgets = field(default_factory=Budgets)
-    eta_rule: str = DEFAULT_ETA_RULE
 
     def as_dict(self) -> dict:
-        return {
-            "constants": self.constants.as_dict(),
-            "budgets": self.budgets.as_dict(),
-            "defaults": {"eta_rule": self.eta_rule},
-        }
+        return {**super().as_dict(), "defaults": {"eta_rule": DEFAULT_ETA_RULE}}
 
 
 def config_from_dict(data: dict) -> RunConfig:
@@ -100,7 +89,7 @@ def config_from_dict(data: dict) -> RunConfig:
     eta_rule = defaults.get("eta_rule", DEFAULT_ETA_RULE)
     if eta_rule != DEFAULT_ETA_RULE:
         raise ValueError(f"unsupported eta rule {eta_rule!r}")
-    return RunConfig(constants=constants, budgets=budgets, eta_rule=eta_rule)
+    return RunConfig(constants=constants, budgets=budgets)
 
 
 def load_config(path: str) -> RunConfig:

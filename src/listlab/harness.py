@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
@@ -55,30 +54,19 @@ from .plurality import (
     plurality_mass,
     top_agreement_scan,
 )
-from .reports import build_report, canonical_bytes
+from .reports import Record, build_report, canonical_bytes
 from .seeds import child_seed, rng_for
 
 
 @dataclass(frozen=True)
-class ExperimentReport:
-    """One experiment's outcome; everything except wall time is reproducible."""
+class ExperimentReport(Record):
+    """One experiment's outcome, all of it reproducible."""
 
     name: str
     params: dict
     measurements: dict
     bounds: dict
     verdicts: dict
-    wall_time_s: float
-
-    def as_dict(self) -> dict:
-        """The reproducible region (wall time deliberately excluded)."""
-        return {
-            "name": self.name,
-            "params": self.params,
-            "measurements": self.measurements,
-            "bounds": self.bounds,
-            "verdicts": self.verdicts,
-        }
 
 
 def _fraction_str(x) -> str:
@@ -117,7 +105,6 @@ def experiment_corollary(
     The success fraction is reported, not asserted, unless a required rate
     is given.
     """
-    start = time.perf_counter()
     cfg = cfg or ConstantsConfig()
     eps = Fraction(eps)
     if not 0 < eps < 1:
@@ -200,7 +187,6 @@ def experiment_corollary(
             "parent_kind": "hadamard" if variant == SMALL_Q else "full-rs",
         },
         verdicts=verdict_block,
-        wall_time_s=time.perf_counter() - start,
     )
 
 
@@ -242,7 +228,6 @@ def experiment_beyond_johnson(
     is computed twice and the report records that the re-run was
     byte-identical, plus a sha256 of the reproducible region.
     """
-    start = time.perf_counter()
     if n_seeds < 1:
         raise ValueError("need at least one seed")
     field_obj = field_new(q)
@@ -306,7 +291,6 @@ def experiment_beyond_johnson(
         },
         bounds={},
         verdicts={"note": SCALE_NOTE},
-        wall_time_s=time.perf_counter() - start,
     )
 
 
@@ -314,25 +298,16 @@ def experiment_beyond_johnson(
 
 
 @dataclass(frozen=True)
-class InvariantResult:
+class InvariantResult(Record):
     name: str
     module: str
     kind: str  # "exact" | "statistical"
     passed: bool
     details: str
 
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "module": self.module,
-            "kind": self.kind,
-            "passed": self.passed,
-            "details": self.details,
-        }
-
 
 @dataclass(frozen=True)
-class SuiteResult:
+class SuiteResult(Record):
     scope: str
     seed: int
     entries: tuple[InvariantResult, ...]
@@ -343,12 +318,10 @@ class SuiteResult:
 
     def as_dict(self) -> dict:
         return {
-            "scope": self.scope,
-            "seed": self.seed,
+            **super().as_dict(),
             "total": len(self.entries),
             "failed": sum(not e.passed for e in self.entries),
             "all_passed": self.passed,
-            "entries": [e.as_dict() for e in self.entries],
         }
 
 
@@ -564,47 +537,28 @@ def _check_report_determinism(seed: int):
     return ba == bb and a.measurements["rerun_identical"], "re-run is byte-identical"
 
 
-_REGISTRY: list[tuple[str, str, str]] = [
-    ("field-axioms", "galois", "exact"),
-    ("encode-linearity", "linear_code", "exact"),
-    ("serialization-roundtrip", "linear_code", "exact"),
-    ("rs-distance", "linear_code", "exact"),
-    ("plurality-identity", "plurality", "exact"),
-    ("mass-route-agreement", "plurality", "exact"),
-    ("avg-implies-std", "oracle", "exact"),
-    ("certificate-roundtrip", "oracle", "exact"),
-    ("entropy-concavity", "bounds", "exact"),
-    ("johnson-small-exhaustive", "bounds", "exact"),
-    ("spread-identity", "bounds", "exact"),
-    ("net-postconditions", "chaining", "exact"),
-    ("concentration-exact-small", "chaining", "exact"),
-    ("variance-3se", "chaining", "statistical"),
-    ("symmetrization-3se", "chaining", "statistical"),
-    ("corollary-monotonicity", "harness", "statistical"),
-    ("report-determinism", "harness", "exact"),
+# (name, module, kind, check); check(seed) returns (passed, details)
+_REGISTRY = [
+    ("field-axioms", "galois", "exact", _check_field_axioms),
+    ("encode-linearity", "linear_code", "exact", _check_encode_linearity),
+    ("serialization-roundtrip", "linear_code", "exact", _check_serialization),
+    ("rs-distance", "linear_code", "exact", _check_rs_distance),
+    ("plurality-identity", "plurality", "exact", _check_plurality_identity),
+    ("mass-route-agreement", "plurality", "exact", _check_mass_routes),
+    ("avg-implies-std", "oracle", "exact", _check_avg_implies_std),
+    ("certificate-roundtrip", "oracle", "exact", _check_certificate_roundtrip),
+    ("entropy-concavity", "bounds", "exact", _check_entropy_concavity),
+    ("johnson-small-exhaustive", "bounds", "exact", _check_johnson_small),
+    ("spread-identity", "bounds", "exact", _check_spread_identity),
+    ("net-postconditions", "chaining", "exact", _check_net_postconditions),
+    ("concentration-exact-small", "chaining", "exact", _check_concentration_exact),
+    ("variance-3se", "chaining", "statistical", _check_variance_statistical),
+    ("symmetrization-3se", "chaining", "statistical", _check_symmetrization_statistical),
+    ("corollary-monotonicity", "harness", "statistical", _check_corollary_monotonicity),
+    ("report-determinism", "harness", "exact", _check_report_determinism),
 ]
 
-_CHECKS = {
-    "field-axioms": _check_field_axioms,
-    "encode-linearity": _check_encode_linearity,
-    "serialization-roundtrip": _check_serialization,
-    "rs-distance": _check_rs_distance,
-    "plurality-identity": _check_plurality_identity,
-    "mass-route-agreement": _check_mass_routes,
-    "avg-implies-std": _check_avg_implies_std,
-    "certificate-roundtrip": _check_certificate_roundtrip,
-    "entropy-concavity": _check_entropy_concavity,
-    "johnson-small-exhaustive": _check_johnson_small,
-    "spread-identity": _check_spread_identity,
-    "net-postconditions": _check_net_postconditions,
-    "concentration-exact-small": _check_concentration_exact,
-    "variance-3se": _check_variance_statistical,
-    "symmetrization-3se": _check_symmetrization_statistical,
-    "corollary-monotonicity": _check_corollary_monotonicity,
-    "report-determinism": _check_report_determinism,
-}
-
-SUITE_MODULES = tuple(sorted({module for _, module, _ in _REGISTRY}))
+SUITE_MODULES = tuple(sorted({module for _, module, _, _ in _REGISTRY}))
 
 
 def invariant_suite(scope: str = "all", seed: int = 0) -> SuiteResult:
@@ -617,11 +571,11 @@ def invariant_suite(scope: str = "all", seed: int = 0) -> SuiteResult:
     if scope != "all" and scope not in SUITE_MODULES:
         raise ValueError(f"unknown scope {scope!r}; pick all or one of {SUITE_MODULES}")
     entries = []
-    for name, module, kind in _REGISTRY:
+    for name, module, kind, check in _REGISTRY:
         if scope != "all" and module != scope:
             continue
         try:
-            passed, details = _CHECKS[name](seed)
+            passed, details = check(seed)
         except Exception as exc:  # failures are results here
             passed, details = False, f"raised {exc!r}"
         entries.append(InvariantResult(name, module, kind, passed, details))

@@ -29,6 +29,7 @@ from .plurality import (
     agreement_block,
     plurality_mass,
 )
+from .reports import Record
 from .seeds import rng_for
 
 STANDARD = "standard"
@@ -301,19 +302,12 @@ def is_avg_radius_list_decodable(
 
 
 @dataclass(frozen=True)
-class ProfileRow:
+class ProfileRow(Record):
     """Largest decodable radius at one list size, both modes."""
 
     list_size: int
     standard_radius: Fraction
     average_radius: Fraction
-
-    def as_dict(self) -> dict:
-        return {
-            "list_size": self.list_size,
-            "standard_radius": str(self.standard_radius),
-            "average_radius": str(self.average_radius),
-        }
 
 
 def decoding_radius_profile(

@@ -20,6 +20,7 @@ from .config import Budgets
 from .errors import InfeasibleError
 from .galois import Field
 from .linear_code import LinearCode
+from .reports import Record
 from .seeds import rng_for
 
 
@@ -244,7 +245,7 @@ def index_to_message(q: int, k: int, index: int) -> tuple[int, ...]:
 
 
 @dataclass(frozen=True)
-class MassResult:
+class MassResult(Record):
     """Result of a plurality-mass computation at list size L."""
 
     list_size: int
@@ -257,17 +258,7 @@ class MassResult:
     witness_received: tuple[int, ...] | None
 
     def as_dict(self) -> dict:
-        return {
-            "list_size": self.list_size,
-            "value": str(self.value),
-            "value_float": float(self.value),
-            "exact": self.exact,
-            "lower_bound": self.lower_bound,
-            "mode": self.mode,
-            "route": self.route,
-            "witness_codewords": [list(w) for w in self.witness_codewords],
-            "witness_received": list(self.witness_received) if self.witness_received else None,
-        }
+        return {**super().as_dict(), "value_float": float(self.value)}
 
 
 def top_agreement_scan(words: np.ndarray, q: int, top: int):
@@ -396,6 +387,8 @@ def plurality_mass(
         return _mass_result(words, _greedy_rows(words, q, L), q, False, mode, None)
 
     if mode == "sampled":
+        if trials < 1:
+            raise ValueError(f"trials must be >= 1, got {trials}")
         rng = rng_for(seed, 0)
         best_val, best_rows = -1, None
         for _ in range(trials):
@@ -468,6 +461,8 @@ def candidate_message_sets(field: Field, k: int, L: int, count: int, seed: int) 
     the low-degree polynomials, for Hadamard messages a subgroup), plus a few
     random additive shifts of that box (cosets).
     """
+    if count < 1:
+        raise ValueError(f"candidates must be >= 1, got {count}")
     q = field.q
     total = q**k
     if L > total:

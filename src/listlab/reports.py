@@ -4,6 +4,8 @@ Every emitted report is {"schema": 1, "command": ..., "params": ...,
 "results": ..., "meta": ...}. The canonical bytes cover everything except
 "meta" (wall-clock time and similar non-reproducible fields live there), with
 keys sorted and compact separators, so determinism checks can hash them.
+Result records inherit `Record`, whose `as_dict` is the one place where a
+record becomes JSON.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ import csv
 import io
 import json
 import sys
+from dataclasses import fields
+from fractions import Fraction
 
 SCHEMA_VERSION = 1
 
@@ -31,6 +35,32 @@ REPO_CSV_COLUMNS = {
         "standard_radii", "average_radii", "beyond_at",
     ],
 }
+
+
+class Record:
+    """Base of the result dataclasses: `as_dict` writes every field by name.
+
+    A Fraction becomes its exact string, a tuple or list a list, a dict keeps
+    its keys with converted values, and a nested record its own dict.
+    Subclasses extend `as_dict` only with keys that are not fields, such as
+    the float twin of an exact value (a net level also renames `lam` to
+    `messages`).
+    """
+
+    def as_dict(self) -> dict:
+        return {f.name: _jsonable(getattr(self, f.name)) for f in fields(self)}
+
+
+def _jsonable(value):
+    if hasattr(value, "as_dict"):
+        return value.as_dict()
+    if isinstance(value, Fraction):
+        return str(value)
+    if isinstance(value, (tuple, list)):
+        return [_jsonable(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _jsonable(v) for k, v in value.items()}
+    return value
 
 
 def build_report(command: str, params: dict, results: dict, meta: dict | None = None) -> dict:

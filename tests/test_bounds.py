@@ -221,7 +221,6 @@ def test_rate_summary_predicate_and_regimes():
     above = rate_summary(200, 0.01)
     assert below.rs_rate / below.rlc_rate == pytest.approx(2 / (50 * 0.01))
     assert above.rs_rate / above.rlc_rate == pytest.approx(2.0)
-    assert "beats_johnson" in big.as_dict()
     with pytest.raises(ValueError):
         rate_summary(2, 0.5)
     with pytest.raises(ValueError):
@@ -274,12 +273,8 @@ def test_evaluate_bound_dispatcher():
         assert report.name == name
         assert math.isfinite(report.value)
         assert dict(report.inputs) == params
-        assert report.margin is None
     assert evaluate_bound("blocklength", cases["blocklength"]).value == 100000.0
     with pytest.raises(ValueError):
         evaluate_bound("sharpest", {})
-    report = BoundReport("demo", (("x", 1),), 3.0, target=2.0)
-    assert report.margin == 1.0
-    assert report.as_dict()["margin"] == 1.0
     with pytest.raises(ValueError):
         BoundReport("demo", (), float("nan"))

@@ -230,6 +230,15 @@ def test_usage_errors(rs_path, tmp_path):
         ("hoeffding", '{"ranges": [[0, NaN]], "v": 1}'),
     ):
         assert main(["bounds", "eval", "--name", name, "--params", params]) == 2
+    # a zero denominator is a usage error, not a ZeroDivisionError
+    for argv in (
+        ["oracle", "check", "--code", rs_path, "--radius", "1/0", "--list-bound", "2"],
+        ["experiment", "corollary", "--variant", "small-q", "--q", "5", "--eps", "1/0",
+         "--k", "2"],
+        ["bounds", "table", "--q-grid", "2", "--eps-grid", "1/4,1/0"],
+    ):
+        err = _usage_error(argv)
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_config_file_threads_through(rs_path, tmp_path):
@@ -414,3 +423,17 @@ def test_messages_outside_the_field_are_usage_errors(rs_path, command, messages,
     err = _usage_error([*command, "--code", rs_path, f"--messages={messages}"])
     assert err.startswith("error: ") and err.count("\n") == 1
     assert reason in err
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["plurality", "Q", "--list-size", "3", "--mode", "sampled", "--trials", "0"], "trials"),
+    (["plurality", "Q", "--list-size", "3", "--mode", "sampled", "--trials", "-2"], "trials"),
+    (["chain", "symmetrize", "--family", "fixed", "--list-size", "3", "--candidates", "0"],
+     "candidates"),
+    (["chain", "mc", "--check", "supremum", "--list-size", "3", "--candidates", "-1"],
+     "candidates"),
+])
+def test_counts_below_one_are_usage_errors(rs_path, argv, name):
+    err = _usage_error([*argv, "--code", rs_path])
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert name in err

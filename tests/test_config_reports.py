@@ -39,7 +39,7 @@ def test_config_from_dict_round_trip():
     )
     assert cfg.constants.C0 == 0.5 and cfg.constants.c1 == 32.0
     assert cfg.budgets.max_subsets == 100
-    assert cfg.eta_rule == "1/log2(L)"
+    assert cfg.as_dict()["defaults"] == {"eta_rule": "1/log2(L)"}
     assert config_from_dict(cfg.as_dict()).as_dict() == cfg.as_dict()
     with pytest.raises(ValueError):
         config_from_dict({"extra": 1})

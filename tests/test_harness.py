@@ -31,7 +31,6 @@ def test_corollary_small_q_desk_run():
     assert rep.measurements["oracle"] == "exhaustive"
     assert rep.measurements["success_fraction"] == 1.0
     assert len(rep.verdicts["per_draw"]) == 50
-    assert rep.wall_time_s > 0
     assert "wall_time_s" not in rep.as_dict()
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from numbers import Real
 
-from .reports import Record
+from .reports import Record, read_section
 
 _LOG2 = math.log(2.0)
 
@@ -58,11 +58,8 @@ class ConstantsConfig(Record):
 
 
 def constants_from_dict(doc: dict) -> ConstantsConfig:
-    known = {f.name for f in fields(ConstantsConfig)}
-    extra = set(doc) - known
-    if extra:
-        raise ValueError(f"unknown constants: {sorted(extra)}")
-    return ConstantsConfig(**doc)
+    known = [f.name for f in fields(ConstantsConfig)]
+    return ConstantsConfig(**read_section(doc, known, "constants"))
 
 
 @dataclass(frozen=True)
@@ -291,18 +288,34 @@ def gaussian_max_bound(sigma: float, n: int) -> float:
 # -- CLI-facing dispatcher -----------------------------------------------------------
 
 
-# the parameters each named bound requires; "variant" is a string, "ranges"
-# a list of (a, b) pairs, and every other parameter a real number
-_BOUND_PARAMS = {
-    "entropy": ("q", "x"),
-    "capacity": ("q", "eps"),
-    "capacity-small-eps": ("q", "eps"),
-    "johnson-eps": ("n", "q", "L", "eps", "pair_sum"),
-    "johnson-root": ("n", "L", "pair_sum"),
-    "sampled-agreement": ("E", "L", "N"),
-    "blocklength": ("q", "eps", "variant", "k"),
-    "hoeffding": ("ranges", "v"),
-    "gaussian-max": ("sigma", "n"),
+# each named bound: the parameters it requires and its evaluator; "variant"
+# is a string, "ranges" a list of (a, b) pairs, and every other parameter a
+# real number
+_BOUNDS = {
+    "entropy": (("q", "x"), lambda p, cfg: q_ary_entropy(p["q"], p["x"])),
+    "capacity": (("q", "eps"), lambda p, cfg: capacity_rate(p["q"], p["eps"])),
+    "capacity-small-eps": (
+        ("q", "eps"),
+        lambda p, cfg: capacity_rate_small_eps(p["q"], p["eps"]),
+    ),
+    "johnson-eps": (
+        ("n", "q", "L", "eps", "pair_sum"),
+        lambda p, cfg: johnson_agreement_bound_eps(p["n"], p["q"], p["L"], p["eps"], p["pair_sum"]),
+    ),
+    "johnson-root": (
+        ("n", "L", "pair_sum"),
+        lambda p, cfg: johnson_agreement_bound_root(p["n"], p["L"], p["pair_sum"]),
+    ),
+    "sampled-agreement": (
+        ("E", "L", "N"),
+        lambda p, cfg: random_code_agreement_bound(p["E"], p["L"], p["N"], cfg, q=p.get("q")),
+    ),
+    "blocklength": (
+        ("q", "eps", "variant", "k"),
+        lambda p, cfg: decodable_blocklength(p["q"], p["eps"], p["variant"], p["k"], cfg),
+    ),
+    "hoeffding": (("ranges", "v"), lambda p, cfg: hoeffding_tail(p["ranges"], p["v"])),
+    "gaussian-max": (("sigma", "n"), lambda p, cfg: gaussian_max_bound(p["sigma"], p["n"])),
 }
 
 
@@ -329,7 +342,7 @@ def _param_ok(key: str, v) -> bool:
 def _check_params(name: str, params) -> None:
     if not isinstance(params, dict):
         raise ValueError(f"params of bound {name!r} must be a JSON object")
-    keys = _BOUND_PARAMS[name]
+    keys = _BOUNDS[name][0]
     missing = [key for key in keys if key not in params]
     if missing:
         raise ValueError(f"bound {name!r} needs params {missing}")
@@ -342,29 +355,10 @@ def _check_params(name: str, params) -> None:
 
 def evaluate_bound(name: str, params: dict, cfg: ConstantsConfig | None = None) -> BoundReport:
     """Evaluate one named bound from a flat parameter dict."""
-    if name not in _BOUND_PARAMS:
+    if name not in _BOUNDS:
         raise ValueError(f"unknown bound {name!r}")
     _check_params(name, params)
     cfg = cfg or ConstantsConfig()
     p = dict(params)
-    if name == "entropy":
-        value = q_ary_entropy(p["q"], p["x"])
-    elif name == "capacity":
-        value = capacity_rate(p["q"], p["eps"])
-    elif name == "capacity-small-eps":
-        value = capacity_rate_small_eps(p["q"], p["eps"])
-    elif name == "johnson-eps":
-        value = float(
-            johnson_agreement_bound_eps(p["n"], p["q"], p["L"], p["eps"], p["pair_sum"])
-        )
-    elif name == "johnson-root":
-        value = johnson_agreement_bound_root(p["n"], p["L"], p["pair_sum"])
-    elif name == "sampled-agreement":
-        value = random_code_agreement_bound(p["E"], p["L"], p["N"], cfg, q=p.get("q"))
-    elif name == "blocklength":
-        value = float(decodable_blocklength(p["q"], p["eps"], p["variant"], p["k"], cfg))
-    elif name == "hoeffding":
-        value = hoeffding_tail(p["ranges"], p["v"])
-    else:
-        value = gaussian_max_bound(p["sigma"], p["n"])
+    value = _BOUNDS[name][1](p, cfg)
     return BoundReport(name, p, float(value))

@@ -38,6 +38,8 @@ from .reports import Record
 from .seeds import rng_for
 
 DEFAULT_RETRY_LIMIT = 200
+# draws of the sampled plurality mass that stands in for an infeasible exact Q
+SUPREMUM_MASS_TRIALS = 2000
 
 
 # -- chain parameters -----------------------------------------------------------
@@ -169,9 +171,6 @@ def build_nets(
     seed: int = 0,
     *,
     params: ChainParams | None = None,
-    cfg: ConstantsConfig | None = None,
-    eta: float | None = None,
-    retry_limit: int = DEFAULT_RETRY_LIMIT,
 ) -> NetBuildResult:
     """Build the net hierarchy from a level-0 codeword set.
 
@@ -183,11 +182,12 @@ def build_nets(
     with success=False and the per-condition failure counts (each draw
     succeeds with probability at least 1/6, so this is rare).
 
+    Without `params`, the default chain_params of the set size apply.
     Degenerate parameter sets (no positive level count) return the single
     level 0. The number of codewords must exceed twice the set size.
     """
     if params is None:
-        params = chain_params(len(lam0), cfg, eta, retry_limit)
+        params = chain_params(len(lam0))
     if params.list_size != len(lam0):
         raise ValueError(
             f"params built for list size {params.list_size}, set has {len(lam0)}"
@@ -551,25 +551,24 @@ def symmetrization_check(
     trials: int = 200,
     seed: int = 0,
     n_candidates: int = 8,
-    pilot_trials: int | None = None,
 ) -> SymmetrizationReport:
     """Compare the centered plurality-sum deviation with its Rademacher and
     Gaussian symmetrizations over a random code family.
 
     D estimates E_C max_Lambda |sum_j (pl_j - E pl_j)|, with E pl_j taken
-    from an independent pilot sample. R and G replace the centering by
-    independent sign flips / standard normals. The classical comparisons are
-    D <= 2R and R <= sqrt(pi/2) G; each is checked up to three combined
-    standard errors. The Lambda family is sampled, and flagged as such.
+    from an independent pilot sample of `trials` codes. R and G replace the
+    centering by independent sign flips / standard normals. The classical
+    comparisons are D <= 2R and R <= sqrt(pi/2) G; each is checked up to
+    three combined standard errors. The Lambda family is sampled, and
+    flagged as such.
     """
     if trials < 2:
         raise ValueError("need at least 2 trials")
-    pilot = pilot_trials if pilot_trials is not None else trials
     lams = candidate_message_sets(family.field, family.k, L, n_candidates, seed)
     mean_pl = np.zeros((len(lams), family.n))
-    for i in range(pilot):
+    for i in range(trials):
         mean_pl += _pl_matrix(family.draw(seed + 1_000_003, i), lams)
-    mean_pl /= pilot
+    mean_pl /= trials
 
     d_vals = np.empty(trials)
     r_vals = np.empty(trials)
@@ -598,7 +597,7 @@ def symmetrization_check(
         gaussian=g,
         gaussian_se=g_se,
         trials=trials,
-        pilot_trials=pilot,
+        pilot_trials=trials,
         lambda_sets=len(lams),
         lambda_family="sampled",
         family=family.descriptor(),
@@ -637,7 +636,6 @@ def gaussian_supremum_experiment(
     trials: int = 1000,
     seed: int = 0,
     cfg: ConstantsConfig | None = None,
-    mass_trials: int = 2000,
     *,
     budgets: Budgets = Budgets(),
 ) -> SupremumReport:
@@ -659,7 +657,9 @@ def gaussian_supremum_experiment(
     try:
         mass = plurality_mass(code, L, "exact", budgets=budgets)
     except InfeasibleError:
-        mass = plurality_mass(code, L, "sampled", trials=mass_trials, seed=seed, budgets=budgets)
+        mass = plurality_mass(
+            code, L, "sampled", trials=SUPREMUM_MASS_TRIALS, seed=seed, budgets=budgets
+        )
     lams = candidate_message_sets(code.field, code.k, L, n_candidates, seed)
     coords = tuple(range(code.n))
     sample = gaussian_process_sample(code, [(coords, lam) for lam in lams], trials, seed)

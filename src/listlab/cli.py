@@ -293,11 +293,11 @@ def _run(args, cfg: RunConfig) -> tuple[dict, list[str] | None, list[list] | Non
     if args.group == "code":
         if args.action == "make":
             code = _make_code(args, cfg)
-            return {"code": code.to_json_dict(), "info": _code_info(code, cfg)}, None, None, 0
+            return {"code": code.as_dict(), "info": _code_info(code, cfg)}, None, None, 0
         code = _load_code(code_arg)
         if args.action == "info":
             return _code_info(code, cfg), None, None, 0
-        return {"code": code.to_json_dict()}, None, None, 0
+        return {"code": code.as_dict()}, None, None, 0
 
     if args.group == "oracle":
         code = _load_code(code_arg)
@@ -314,7 +314,7 @@ def _run(args, cfg: RunConfig) -> tuple[dict, list[str] | None, list[list] | Non
             else:
                 cert = is_avg_radius_list_decodable(code, query, budgets=cfg.budgets)
             code_result = 1 if cert.verdict == VIOLATED else 0
-            return {"certificate": cert.to_json_dict()}, None, None, code_result
+            return {"certificate": cert.as_dict()}, None, None, code_result
         profile = decoding_radius_profile(code, args.max_list_size, budgets=cfg.budgets)
         rows = [[r.list_size, str(r.standard_radius), str(r.average_radius)] for r in profile]
         return (
@@ -483,7 +483,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = load_config(args.config) if args.config else RunConfig()
         results, header, rows, exit_code = _run(args, cfg)
-    except (InfeasibleError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (InfeasibleError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

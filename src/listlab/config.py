@@ -9,11 +9,11 @@ fixed DEFAULT_ETA_RULE; reports echo it for provenance).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .bounds import ConstantsConfig, constants_from_dict
 from .errors import InfeasibleError
-from .reports import Record
+from .reports import Record, read_section
 
 DEFAULT_ETA_RULE = "1/log2(L)"
 
@@ -59,10 +59,8 @@ class Budgets(Record):
 
 
 def budgets_from_dict(data: dict) -> Budgets:
-    unknown = set(data) - {"max_codewords", "max_received_words", "max_subsets"}
-    if unknown:
-        raise ValueError(f"unknown budget keys: {sorted(unknown)}")
-    return Budgets(**data)
+    known = [f.name for f in fields(Budgets)]
+    return Budgets(**read_section(data, known, "budget keys"))
 
 
 @dataclass(frozen=True)
@@ -77,15 +75,10 @@ class RunConfig(Record):
 
 
 def config_from_dict(data: dict) -> RunConfig:
-    unknown = set(data) - {"constants", "budgets", "defaults"}
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    read_section(data, ("constants", "budgets", "defaults"), "config keys")
     constants = constants_from_dict(data.get("constants", {}))
     budgets = budgets_from_dict(data.get("budgets", {}))
-    defaults = data.get("defaults", {})
-    bad = set(defaults) - {"eta_rule"}
-    if bad:
-        raise ValueError(f"unknown default keys: {sorted(bad)}")
+    defaults = read_section(data.get("defaults", {}), ("eta_rule",), "default keys")
     eta_rule = defaults.get("eta_rule", DEFAULT_ETA_RULE)
     if eta_rule != DEFAULT_ETA_RULE:
         raise ValueError(f"unsupported eta rule {eta_rule!r}")
@@ -94,7 +87,4 @@ def config_from_dict(data: dict) -> RunConfig:
 
 def load_config(path: str) -> RunConfig:
     with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict):
-        raise ValueError("config file must contain a JSON object")
-    return config_from_dict(data)
+        return config_from_dict(json.load(fh))

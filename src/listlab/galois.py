@@ -161,12 +161,6 @@ class Field:
             return (a - b) % self.q
         return a ^ b
 
-    def neg(self, a: int) -> int:
-        self._check(a)
-        if self.kind == "prime":
-            return (-a) % self.q
-        return a
-
     def mul(self, a: int, b: int) -> int:
         self._check(a, b)
         if self.kind == "prime":
@@ -192,9 +186,6 @@ class Field:
         if self.kind == "prime":
             return pow(a, e, self.q)
         return self._exp[(self._log[a] * e) % (self.q - 1)]
-
-    def elements(self) -> range:
-        return range(self.q)
 
     # -- vectorized helpers (trusted internal paths, no per-op checks) ---
 

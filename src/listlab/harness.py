@@ -22,6 +22,14 @@ from .bounds import (
     q_ary_entropy,
     root_bound_exceeded,
 )
+from .chaining import (
+    build_nets,
+    chain_params,
+    concentration_check,
+    gaussian_process_sample,
+    net_invariant_violations,
+    symmetrization_check,
+)
 from .config import Budgets
 from .errors import InfeasibleError
 from .galois import field_new
@@ -69,12 +77,11 @@ class ExperimentReport(Record):
     verdicts: dict
 
 
-def _fraction_str(x) -> str:
-    return str(Fraction(x)) if isinstance(x, (int, Fraction)) else repr(float(x))
-
-
 SMALL_Q = "small-q"
 LARGE_Q = "large-q"
+# draws of the sampled plurality mass that stands in for an infeasible exact
+# oracle when a corollary run allows it
+SAMPLED_MASS_TRIALS = 500
 
 
 def experiment_corollary(
@@ -89,7 +96,6 @@ def experiment_corollary(
     budgets: Budgets = Budgets(),
     n_override: int | None = None,
     allow_sampled: bool = False,
-    sampled_trials: int = 500,
     require_success_rate: float | None = None,
 ) -> ExperimentReport:
     """Sample codes from a good parent and measure how often the
@@ -111,6 +117,8 @@ def experiment_corollary(
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
     if draws < 1:
         raise ValueError("need at least one draw")
+    if require_success_rate is not None and not 0 <= require_success_rate <= 1:
+        raise ValueError(f"required success rate must lie in [0, 1], got {require_success_rate}")
     if eps >= 1 - Fraction(1, q):
         raise ValueError(f"eps = {eps} at or above 1 - 1/q leaves no radius")
     if variant == SMALL_Q:
@@ -148,7 +156,7 @@ def experiment_corollary(
                 raise
             oracle_mode = "sampled"
             mass = plurality_mass(
-                code, L + 1, "sampled", trials=sampled_trials, seed=child_seed(seed, i, 1),
+                code, L + 1, "sampled", trials=SAMPLED_MASS_TRIALS, seed=child_seed(seed, i, 1),
                 budgets=budgets,
             )
             verdict = VIOLATED if mass.value > n * (1 - rho) else DECODABLE
@@ -468,8 +476,6 @@ def _check_spread_identity(seed: int):
 
 
 def _check_net_postconditions(seed: int):
-    from .chaining import build_nets, chain_params, net_invariant_violations
-
     had = hadamard_code(field_new(3), 5)
     lam = MessageSet(tuple(index_to_message(3, 5, i) for i in range(64)))
     for s in range(3):
@@ -482,8 +488,6 @@ def _check_net_postconditions(seed: int):
 
 
 def _check_concentration_exact(seed: int):
-    from .chaining import concentration_check
-
     code = LinearCode(field_new(2), [[1, 1, 0]])
     rep = concentration_check(code, MessageSet(((0,), (1,))), seed=seed)
     ok = rep.first_moment == (0.25, 0.25, 0.0) and rep.min_sufficient_c5 == 0.125
@@ -491,8 +495,6 @@ def _check_concentration_exact(seed: int):
 
 
 def _check_variance_statistical(seed: int):
-    from .chaining import gaussian_process_sample
-
     code = rs_code(field_new(5), 2, [0, 1, 2, 3])
     lam = MessageSet(((1, 2), (2, 0), (0, 1)))
     rep = gaussian_process_sample(code, [(tuple(range(4)), lam)], trials=4000, seed=seed)
@@ -503,8 +505,6 @@ def _check_variance_statistical(seed: int):
 
 
 def _check_symmetrization_statistical(seed: int):
-    from .chaining import symmetrization_check
-
     fam = CodeFamily("sampled-hadamard", field=field_new(3), k=2, n=6)
     rep = symmetrization_check(fam, L=4, trials=150, seed=seed, n_candidates=5)
     ok = rep.deviation_vs_rademacher_ok and rep.rademacher_vs_gaussian_ok

@@ -61,17 +61,9 @@ class LinearCode:
         return len(_row_reduce(self.field, self.basis() + (w,))) == self.rank()
 
     @property
-    def dimension(self) -> int:
-        return self.rank()
-
-    @property
     def size(self) -> int:
         """Number of distinct codewords, q^rank."""
         return self.field.q ** self.rank()
-
-    @property
-    def rate(self) -> Fraction:
-        return Fraction(self.rank(), self.n)
 
     # -- encoding ---------------------------------------------------------
 
@@ -138,7 +130,7 @@ class LinearCode:
 
     # -- serialization ------------------------------------------------------
 
-    def to_json_dict(self) -> dict:
+    def as_dict(self) -> dict:
         return {
             "field": {"q": self.field.q, "poly": self.field.poly},
             "k": self.k,
@@ -183,7 +175,7 @@ def code_from_json_dict(doc: dict) -> LinearCode:
 
 
 def code_to_json(code: LinearCode) -> str:
-    return json.dumps(code.to_json_dict(), sort_keys=True)
+    return json.dumps(code.as_dict(), sort_keys=True)
 
 
 def code_from_json(text: str) -> LinearCode:
@@ -275,14 +267,7 @@ def sample_code(parent: LinearCode, n: int, seed: int) -> LinearCode:
         raise ValueError("n must be >= 1")
     rng = np.random.default_rng(seed)
     idx = rng.integers(0, parent.n, size=n)
-    gen = [[row[j] for j in idx] for row in parent.generator]
-    prov = {
-        "kind": "sampled",
-        "seed": int(seed),
-        "columns": [int(j) for j in idx],
-        "parent": parent.provenance,
-    }
-    return LinearCode(parent.field, gen, provenance=prov)
+    return _keep_columns(parent, idx, "sampled", seed)
 
 
 def puncture_code(parent: LinearCode, n: int, seed: int) -> LinearCode:
@@ -291,9 +276,15 @@ def puncture_code(parent: LinearCode, n: int, seed: int) -> LinearCode:
         raise ValueError(f"n must be in [1, {parent.n}]")
     rng = np.random.default_rng(seed)
     idx = rng.choice(parent.n, size=n, replace=False)
+    return _keep_columns(parent, idx, "punctured", seed)
+
+
+def _keep_columns(parent: LinearCode, idx, kind: str, seed: int) -> LinearCode:
+    """The code on the parent's generator columns idx, in that order; its
+    provenance records the draw."""
     gen = [[row[j] for j in idx] for row in parent.generator]
     prov = {
-        "kind": "punctured",
+        "kind": kind,
         "seed": int(seed),
         "columns": [int(j) for j in idx],
         "parent": parent.provenance,

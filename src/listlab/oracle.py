@@ -43,7 +43,7 @@ BOUNDED = "bounded"
 
 
 @dataclass(frozen=True)
-class ListDecQuery:
+class ListDecQuery(Record):
     """A decodability question: relative radius, list bound, and mode.
 
     The list bound may be zero: average-radius questions about single
@@ -70,16 +70,13 @@ class ListDecQuery:
         """Smallest agreement count that puts a word inside the radius ball."""
         return n - math.floor(self.radius * n)
 
-    def to_json_dict(self) -> dict:
-        return {"radius": str(self.radius), "list_bound": self.list_bound, "mode": self.mode}
-
 
 def query_from_json_dict(doc: dict) -> ListDecQuery:
     return ListDecQuery(Fraction(doc["radius"]), doc["list_bound"], doc["mode"])
 
 
 @dataclass(frozen=True)
-class Certificate:
+class Certificate(Record):
     """A decodability verdict plus everything needed to re-check it.
 
     `search` records how the verdict was reached: "exhaustive" verdicts cover
@@ -132,19 +129,8 @@ class Certificate:
         total_distance = sum(n - agreement(z, c) for c in lam)
         return Fraction(total_distance) < size * n * query.radius
 
-    def to_json_dict(self) -> dict:
-        return {
-            "schema": 1,
-            "kind": "list-decodability-certificate",
-            "code": self.code.to_json_dict(),
-            "query": self.query.to_json_dict(),
-            "verdict": self.verdict,
-            "search": self.search,
-            "witness_received": list(self.witness_received) if self.witness_received else None,
-            "witness_codewords": (
-                [list(c) for c in self.witness_codewords] if self.witness_codewords else None
-            ),
-        }
+    def as_dict(self) -> dict:
+        return {"schema": 1, "kind": "list-decodability-certificate", **super().as_dict()}
 
 
 def certificate_from_json_dict(doc: dict) -> Certificate:
@@ -163,7 +149,7 @@ def certificate_from_json_dict(doc: dict) -> Certificate:
 
 
 def certificate_to_json(cert: Certificate) -> str:
-    return json.dumps(cert.to_json_dict(), sort_keys=True)
+    return json.dumps(cert.as_dict(), sort_keys=True)
 
 
 def certificate_from_json(text: str) -> Certificate:
@@ -185,14 +171,11 @@ def list_at(
     Exact Hamming-ball membership over the full row space, in enumeration
     order.
     """
-    rho = Fraction(radius)
-    if not (0 <= rho <= 1):
-        raise ValueError(f"radius must lie in [0, 1], got {rho}")
     n = code.n
+    t = ListDecQuery(radius, 0).agreement_threshold(n)
     z = np.array([tuple(int(x) for x in received)], dtype=np.int64)
     if z.shape[1] != n:
         raise ValueError(f"received word length {z.shape[1]} != n = {n}")
-    t = n - math.floor(rho * n)
     members: list[tuple[int, ...]] = []
     for block in code.iter_codeword_chunks(budgets=budgets):
         agr = agreement_block(z, block)[0]

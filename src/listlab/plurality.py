@@ -19,9 +19,9 @@ import numpy as np
 from .config import Budgets
 from .errors import InfeasibleError
 from .galois import Field
-from .linear_code import LinearCode
+from .linear_code import LinearCode, full_rs_code, hadamard_code, sample_code
 from .reports import Record
-from .seeds import rng_for
+from .seeds import child_seed, rng_for
 
 
 def agreement(x, y) -> int:
@@ -414,8 +414,6 @@ class CodeFamily:
         if kind in ("sampled-rs", "sampled-hadamard"):
             if field is None or k is None or n is None:
                 raise ValueError("sampled families need field, k, and n")
-            from .linear_code import full_rs_code, hadamard_code
-
             self.parent = full_rs_code(field, k) if kind == "sampled-rs" else hadamard_code(field, k)
             self.field = field
             self.k = k
@@ -434,9 +432,6 @@ class CodeFamily:
     def draw(self, seed: int, index: int) -> LinearCode:
         if self.kind == "fixed":
             return self.parent
-        from .linear_code import sample_code
-        from .seeds import child_seed
-
         return sample_code(self.parent, self.n, seed=child_seed(seed, index))
 
     def descriptor(self) -> dict:

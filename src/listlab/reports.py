@@ -4,8 +4,8 @@ Every emitted report is {"schema": 1, "command": ..., "params": ...,
 "results": ..., "meta": ...}. The canonical bytes cover everything except
 "meta" (wall-clock time and similar non-reproducible fields live there), with
 keys sorted and compact separators, so determinism checks can hash them.
-Result records inherit `Record`, whose `as_dict` is the one place where a
-record becomes JSON.
+Result records, queries and certificates inherit `Record`, whose `as_dict`
+is the one place where a dataclass becomes JSON.
 """
 
 from __future__ import annotations
@@ -43,8 +43,8 @@ class Record:
     A Fraction becomes its exact string, a tuple or list a list, a dict keeps
     its keys with converted values, and a nested record its own dict.
     Subclasses extend `as_dict` only with keys that are not fields, such as
-    the float twin of an exact value (a net level also renames `lam` to
-    `messages`).
+    the float twin of an exact value or a certificate's schema and kind (a
+    net level also renames `lam` to `messages`).
     """
 
     def as_dict(self) -> dict:
@@ -61,6 +61,20 @@ def _jsonable(value):
     if isinstance(value, dict):
         return {k: _jsonable(v) for k, v in value.items()}
     return value
+
+
+def read_section(doc, known, what: str) -> dict:
+    """`doc` if it is a JSON object whose keys all lie in `known`.
+
+    The reader of every config section: anything else is a ValueError that
+    names the section as `what` ("unknown <what>: [...]").
+    """
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must form a JSON object, got {doc!r}")
+    unknown = set(doc) - set(known)
+    if unknown:
+        raise ValueError(f"unknown {what}: {sorted(unknown)}")
+    return doc
 
 
 def build_report(command: str, params: dict, results: dict, meta: dict | None = None) -> dict:

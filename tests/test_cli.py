@@ -263,6 +263,24 @@ def test_config_file_threads_through(rs_path, tmp_path):
     ]) == 2
 
 
+@pytest.mark.parametrize("doc", [{"constants": 5}, {"defaults": None}, {"budgets": 7}])
+def test_config_sections_that_are_not_objects_are_usage_errors(doc, tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    err = _usage_error(["field", "--q", "5", "--config", str(path)])
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("rate", ["nan", "2", "-0.5"])
+def test_required_success_rate_outside_the_unit_interval_is_a_usage_error(rate):
+    err = _usage_error([
+        "experiment", "corollary", "--variant", "small-q", "--q", "5", "--eps", "1/2",
+        "--k", "2", "--draws", "2", "--n", "4", f"--require-success-rate={rate}",
+    ])
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "success rate" in err
+
+
 def test_reports_byte_identical_between_runs(tmp_path):
     pairs = []
     for i in range(2):

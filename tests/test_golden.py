@@ -1,4 +1,5 @@
-"""Golden digests: the canonical bytes of one report per result record type.
+"""Golden digests: the canonical bytes of one report per result record type
+and per named bound.
 
 Each case runs one command in process and hashes `canonical_bytes` of its
 report, with `params.code` (a temporary file path) dropped. A change to any
@@ -33,6 +34,22 @@ CASES = {
     "oracle-profile": ["oracle", "profile", "--code", "@rs", "--max-list-size", "3"],
     "bounds-eval": ["bounds", "eval", "--name", "johnson-eps", "--params",
                     '{"n": 5, "q": 3, "L": 2, "eps": 0.5, "pair_sum": 1.0}'],
+    "bounds-eval-entropy": ["bounds", "eval", "--name", "entropy", "--params",
+                            '{"q": 3, "x": 0.5}'],
+    "bounds-eval-capacity": ["bounds", "eval", "--name", "capacity", "--params",
+                             '{"q": 4, "eps": 0.1}'],
+    "bounds-eval-capacity-small-eps": ["bounds", "eval", "--name", "capacity-small-eps",
+                                       "--params", '{"q": 16, "eps": 0.01}'],
+    "bounds-eval-johnson-root": ["bounds", "eval", "--name", "johnson-root", "--params",
+                                 '{"n": 5, "L": 2, "pair_sum": 1.0}'],
+    "bounds-eval-sampled-agreement": ["bounds", "eval", "--name", "sampled-agreement",
+                                      "--params", '{"E": 2.0, "L": 4, "N": 16}'],
+    "bounds-eval-blocklength": ["bounds", "eval", "--name", "blocklength", "--params",
+                                '{"q": 16, "eps": 0.25, "variant": "small-q", "k": 2}'],
+    "bounds-eval-hoeffding": ["bounds", "eval", "--name", "hoeffding", "--params",
+                              '{"ranges": [[0, 1]], "v": 1}'],
+    "bounds-eval-gaussian-max": ["bounds", "eval", "--name", "gaussian-max", "--params",
+                                 '{"sigma": 1, "n": 1000}'],
     "bounds-table": ["bounds", "table", "--q-grid", "2,16", "--eps-grid", "1/4,1/8"],
     "plurality-profile": ["plurality", "profile", "--code", "@rs",
                           "--messages", "0,1;1,2;2,3"],
@@ -65,6 +82,14 @@ CASES = {
 
 DIGESTS = {
     "bounds-eval": "4f3d057ddb7f1e8e965976212d822b81cb6c3f5dac5bf5961b51edc83bd0cf44",
+    "bounds-eval-blocklength": "67dbdb5c2d53ac227d8c2832cc8c28f9e341dbcd3e469480e30eeeeca365cb04",
+    "bounds-eval-capacity": "82c78a801656a9c0b5d357e3eb388f1c7dfabb1eb54d56bbfeed589e38c12c50",
+    "bounds-eval-capacity-small-eps": "625d4447764b03f595767ab63784dee772b8c46c0fef25fb9da4f7432f1c46c2",
+    "bounds-eval-entropy": "3f18f93f63c900b0a602193d46d58d49eee0cf69fecbeb8777f9a20f5628d7b8",
+    "bounds-eval-gaussian-max": "e6a138423a058fb8be26bbf303c01afafa0acb94b5a3f266fe5d9141c6a2af7e",
+    "bounds-eval-hoeffding": "7375feba92e43c13f925ecfd60d3270b7372a665ddbad6675ec037a1711e9b1d",
+    "bounds-eval-johnson-root": "a55c84545953d76eee1a82d54dbbf265719180c58250de041174a15f9d15e274",
+    "bounds-eval-sampled-agreement": "f00305978bc524f132368a277b82ccbefe2d3b872aca926a133963a4da424939",
     "bounds-table": "3aed9ff1f709cf6247708610a6fad4f2be8ed3ceba6f25ef1e0fef64f5173314",
     "chain-build": "def831b92ba3434c75190783936f595a82f7023893234d4f89a964aa31cfe266",
     "chain-mc-exact": "4b20ad67699496fdfbe051dbece3b6a8b6cb6e1ec59e14f244bf35e9352ebcce",

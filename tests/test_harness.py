@@ -85,7 +85,7 @@ def test_corollary_sampled_fallback():
         )
     rep = experiment_corollary(
         "small-q", 5, Fraction(1, 2), 2, draws=2, cfg=DESK_CFG, seed=1,
-        n_override=4, budgets=tiny, allow_sampled=True, sampled_trials=50,
+        n_override=4, budgets=tiny, allow_sampled=True,
     )
     assert rep.measurements["oracle"] == "sampled"
 

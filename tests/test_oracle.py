@@ -172,7 +172,7 @@ def test_certificate_roundtrip_and_tamper():
     text = certificate_to_json(cert)
     back = certificate_from_json(text)
     assert back.verify()
-    assert back.to_json_dict() == cert.to_json_dict()
+    assert back.as_dict() == cert.as_dict()
     assert back.query == cert.query
     # decodable certificates round-trip too
     ok = is_list_decodable(RS5, ListDecQuery(0, 1))
@@ -193,7 +193,7 @@ def test_certificate_roundtrip_and_tamper():
 
     avg = is_avg_radius_list_decodable(RS5, ListDecQuery(Fraction(4, 5), 1, AVERAGE_RADIUS))
     assert avg.verdict == VIOLATED and avg.verify()
-    doc = avg.to_json_dict()
+    doc = avg.as_dict()
     doc["witness_codewords"] = doc["witness_codewords"][:1]  # wrong set size
     assert not certificate_from_json(json.dumps(doc)).verify()
 

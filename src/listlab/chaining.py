@@ -91,7 +91,9 @@ def chain_params(
     t_max = math.floor(t_raw)
     gamma = 4 * cfg.c1 * log_l / ((1 - eta) ** 2 * eta**2)
     degenerate = t_max <= 0 or L <= cfg.c0
-    return ChainParams(L, float(eta), max(t_max, 0), gamma, cfg, retry_limit, degenerate)
+    if degenerate:
+        t_max = 0
+    return ChainParams(L, float(eta), t_max, gamma, cfg, retry_limit, degenerate)
 
 
 # -- net levels -------------------------------------------------------------------
@@ -170,7 +172,7 @@ def build_nets(
     lam0: MessageSet,
     seed: int = 0,
     *,
-    params: ChainParams | None = None,
+    params: ChainParams,
 ) -> NetBuildResult:
     """Build the net hierarchy from a level-0 codeword set.
 
@@ -182,12 +184,9 @@ def build_nets(
     with success=False and the per-condition failure counts (each draw
     succeeds with probability at least 1/6, so this is rare).
 
-    Without `params`, the default chain_params of the set size apply.
-    Degenerate parameter sets (no positive level count) return the single
-    level 0. The number of codewords must exceed twice the set size.
+    Degenerate parameter sets return the single level 0. The number of
+    codewords must exceed twice the set size.
     """
-    if params is None:
-        params = chain_params(len(lam0))
     if params.list_size != len(lam0):
         raise ValueError(
             f"params built for list size {params.list_size}, set has {len(lam0)}"

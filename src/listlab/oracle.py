@@ -23,7 +23,7 @@ import numpy as np
 from .config import Budgets
 from .linear_code import LinearCode, code_from_json_dict
 from .plurality import (
-    _agreement_histograms,
+    _agreement_tails,
     _top_sums,
     agreement,
     agreement_block,
@@ -225,8 +225,8 @@ def is_list_decodable(
         )
 
     if sample_received is None:
-        for _, block, hist in _agreement_histograms(words, q):
-            bad = np.nonzero(hist[:, t:].sum(axis=1) > bound)[0]
+        for _, block, tails in _agreement_tails(words, q, [t]):
+            bad = np.nonzero(tails[:, 0] > bound)[0]
             if bad.size:
                 z = block[int(bad[0])]
                 hit = violation(z, agreement_block(z[None, :], words)[0])
@@ -302,9 +302,9 @@ def decoding_radius_profile(
     """For each list size up to `max_list_size`, the largest decodable m/n.
 
     One exhaustive pass over received words reads, per word, the top
-    agreement counts off its agreement histogram; the per-list-size maxima
-    determine both radii exactly. List sizes at or above the code size
-    decode at radius 1 in both modes (no ball and no codeword set can
+    agreement counts off its tail counts at levels 1..n; the per-list-size
+    maxima determine both radii exactly. List sizes at or above the code
+    size decode at radius 1 in both modes (no ball and no codeword set can
     overfill).
     """
     if max_list_size < 1:
@@ -317,10 +317,9 @@ def decoding_radius_profile(
     ks = np.arange(1, top + 1)
     best_tail = np.zeros(n, dtype=np.int64)
     best_topsum = np.zeros(top, dtype=np.int64)
-    for _, _, hist in _agreement_histograms(words, q):
-        sums, tail_max = _top_sums(hist, ks)
-        best_tail = np.maximum(best_tail, tail_max)
-        best_topsum = np.maximum(best_topsum, sums.max(axis=1))
+    for _, _, tails in _agreement_tails(words, q, range(1, n + 1)):
+        best_tail = np.maximum(best_tail, tails.max(axis=0))
+        best_topsum = np.maximum(best_topsum, _top_sums(tails, ks).max(axis=1))
     # the largest k-th agreement over all words is #{a >= 1 : max tail_a >= k}
     best_kth = (best_tail[:, None] >= ks).sum(axis=0)
     rows = []

@@ -139,11 +139,11 @@ def agreement_block(received: np.ndarray, words: np.ndarray) -> np.ndarray:
     return acc
 
 
-# float32 sums of fewer than 2^24 ones are exact; one-hot tables stay under
-# _TABLE_CELLS entries, and a histogram block spans about _HIST_ROWS words
+# float32 sums of fewer than 2^24 ones are exact; one-hot and suffix tables
+# stay under _TABLE_CELLS entries, and a tail block spans about _BLOCK_ROWS words
 _F32_EXACT = 1 << 24
 _TABLE_CELLS = 1 << 20
-_HIST_ROWS = 1 << 13
+_BLOCK_ROWS = 1 << 13
 
 
 def _agreements(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -151,84 +151,68 @@ def _agreements(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (x[:, None, :] == y[None, :, :]).sum(axis=2)
 
 
-def _one_hot(agr: np.ndarray, levels: int) -> np.ndarray:
-    """(rows, levels, N) float32 table of [agr[r, c] == a]."""
-    return (agr[:, None, :] == np.arange(levels)[:, None]).astype(np.float32)
-
-
-def _suffix_table(suffixes: np.ndarray, words: np.ndarray, shifts: int, levels: int) -> np.ndarray:
-    """((shift, codeword), (suffix, level)) table of [A_suf(s, c) == a - i].
+def _suffix_table(suffixes: np.ndarray, words: np.ndarray, shifts: int, levels) -> np.ndarray:
+    """((shift, codeword), (suffix, level)) table of [A_suf(s, c) >= levels[j] - i].
 
     A one-hot prefix row, 1 at (i, c) when the prefix agrees with codeword c
-    in i coordinates, times this table adds c to level i + A_suf(s, c) of
-    received word (prefix, s): one product sums every pair of prefix and
-    suffix agreement levels.
+    in i coordinates, times this table counts the codewords c with
+    i + A_suf(s, c) >= levels[j]: one product gives the tail counts of every
+    received word (prefix, s) at every requested level. The table is one
+    lookup, per (codeword, suffix) agreement a, of the rows [a >= levels - i].
     """
-    one_hot = _one_hot(_agreements(suffixes, words), levels - shifts + 1).transpose(2, 0, 1)
-    table = np.zeros((shifts, words.shape[0], len(suffixes), levels), dtype=np.float32)
-    for i in range(shifts):
-        table[i, :, :, i : i + one_hot.shape[2]] = one_hot
-    return table.reshape(shifts * words.shape[0], -1)
+    need = np.asarray(levels) - np.arange(shifts)[:, None]
+    rows = (np.arange(words.shape[1] + 1)[:, None] >= need[:, None, :]).astype(np.float32)
+    return np.take(rows, _agreements(words, suffixes), axis=1).reshape(shifts * len(words), -1)
 
 
-def _part_histogram(prefixes, words, suffixes, table) -> np.ndarray:
-    """(len(prefixes) * len(suffixes), n + 1) int64 agreement histogram of
-    the received words prefix + suffix against `words`; `table` is the
-    suffix table of `words`, or None to build it here."""
-    pre, levels = prefixes.shape[1], words.shape[1] + 1
-    if table is None:
-        table = _suffix_table(suffixes, words[:, pre:], pre + 1, levels)
-    left = _one_hot(_agreements(prefixes, words[:, :pre]), pre + 1)
-    return (left.reshape(len(prefixes), -1) @ table).reshape(-1, levels).astype(np.int64)
-
-
-def _agreement_histograms(words: np.ndarray, q: int):
-    """Yield (start, block, hist) over all q^n received words in lexicographic
-    order; hist[i, a] counts the rows of `words` agreeing with block[i] in
-    exactly a coordinates.
+def _agreement_tails(words: np.ndarray, q: int, levels):
+    """Yield (start, block, tails) over all q^n received words in lexicographic
+    order; tails[i, j] counts the rows of `words` agreeing with block[i] in at
+    least levels[j] coordinates.
 
     Agreement splits into a prefix part (the first ceil(n/2) coordinates)
-    and a suffix part, so for a block of whole prefixes the histogram is one
-    product of a one-hot prefix table and a level-shifted one-hot suffix
-    table; no (m, N) agreement matrix is built. The codeword axis is cut
-    into parts of fewer than 2^24 rows, so every float32 sum is exact, and
-    small enough to bound the tables; the parts' histograms add in int64.
+    and a suffix part, so for a block of whole prefixes the tails are one
+    product of a one-hot prefix table and a suffix threshold table; no
+    (m, N) agreement matrix is built. The codeword axis is cut into parts of
+    fewer than 2^24 rows, so every float32 sum is exact, and small enough to
+    bound the tables; the parts' tails add in int64.
     """
     n_words, n = words.shape
     pre = n - n // 2
     n_suf = q ** (n // 2)
     suffixes = np.indices((q,) * (n // 2)).reshape(n // 2, n_suf).T
-    step = max(1, min(n_words, _F32_EXACT - 1, _TABLE_CELLS // ((pre + 1) * n_suf * (n + 1))))
-    parts = [words[lo : lo + step] for lo in range(0, n_words, step)]
+    step = max(1, min(n_words, _F32_EXACT - 1, _TABLE_CELLS // ((pre + 1) * n_suf * len(levels))))
     # one part: build its suffix table once; more: rebuild per block to bound memory
-    table = _suffix_table(suffixes, words[:, pre:], pre + 1, n + 1) if len(parts) == 1 else None
-    n_pre = max(1, min(_HIST_ROWS // n_suf, _TABLE_CELLS // ((pre + 1) * step)))
+    table = _suffix_table(suffixes, words[:, pre:], pre + 1, levels) if step == n_words else None
+    n_pre = max(1, min(_BLOCK_ROWS // n_suf, _TABLE_CELLS // ((pre + 1) * step)))
     for start, block in iter_received_blocks(q, n, n_pre * n_suf):
         prefixes = block[::n_suf, :pre]
-        hist = _part_histogram(prefixes, parts[0], suffixes, table)
-        for part in parts[1:]:
-            hist += _part_histogram(prefixes, part, suffixes, table)
-        yield start, block, hist
+        tails = 0
+        for lo in range(0, n_words, step):
+            part = words[lo : lo + step]
+            agr = _agreements(prefixes, part[:, :pre])
+            left = (agr[:, None, :] == np.arange(pre + 1)[:, None]).astype(np.float32)
+            right = table
+            if right is None:
+                right = _suffix_table(suffixes, part[:, pre:], pre + 1, levels)
+            tails = tails + (left.reshape(len(prefixes), -1) @ right).astype(np.int64)
+        # column-major: each level's tail counts are contiguous for the reducers
+        yield start, block, np.asfortranarray(tails.reshape(-1, len(levels)))
 
 
-def _top_sums(hist: np.ndarray, ks) -> tuple[np.ndarray, np.ndarray]:
-    """Top-k agreement sums of the words of one histogram block.
+def _top_sums(tails: np.ndarray, ks) -> np.ndarray:
+    """(len(ks), m) top-k agreement sums of the words of one tail block.
 
-    With tail_a the number of rows agreeing in >= a coordinates, the k-th
-    largest agreement of a word is #{a >= 1 : tail_a >= k}, and its top-k
-    sum is the sum over a >= 1 of min(tail_a, k). Returns the (len(ks), m)
-    sums and, per a = 1..n, the largest tail_a over the block.
+    With tails[:, a - 1] the number of rows agreeing in >= a coordinates
+    (levels 1..n), the k-th largest agreement of a word is
+    #{a >= 1 : tail_a >= k}, and its top-k sum is the sum over a >= 1 of
+    min(tail_a, k).
     """
     ks = np.asarray(ks)[:, None]
-    n = hist.shape[1] - 1
-    tail = np.zeros(hist.shape[0], dtype=np.int64)
-    sums = np.zeros((len(ks), hist.shape[0]), dtype=np.int64)
-    tail_max = np.zeros(n, dtype=np.int64)
-    for a in range(n, 0, -1):
-        tail += hist[:, a]
+    sums = np.zeros((len(ks), len(tails)), dtype=np.int64)
+    for tail in tails.T:
         sums += np.minimum(tail, ks)
-        tail_max[a - 1] = tail.max()
-    return sums, tail_max
+    return sums
 
 
 def index_to_message(q: int, k: int, index: int) -> tuple[int, ...]:
@@ -266,12 +250,12 @@ def top_agreement_scan(words: np.ndarray, q: int, top: int):
 
     Returns (best_sum, best_z_index); the received-word index is the first
     attaining the maximum in lexicographic order. The top-`top` sum of each
-    word is read off its agreement histogram.
+    word is read off its tail counts at levels 1..n.
     """
     best = -1
     best_idx = 0
-    for start, _, hist in _agreement_histograms(words, q):
-        sums = _top_sums(hist, (top,))[0][0]
+    for start, _, tails in _agreement_tails(words, q, range(1, words.shape[1] + 1)):
+        sums = _top_sums(tails, (top,))[0]
         pos = int(sums.argmax())
         if int(sums[pos]) > best:
             best = int(sums[pos])

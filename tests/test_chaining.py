@@ -201,7 +201,7 @@ def test_build_understated_constants_fail_cleanly():
 
 
 def test_build_degenerate_params_single_level():
-    res = build_nets(HAD5, LAM64, seed=0)  # default eta -> t_max 0
+    res = build_nets(HAD5, LAM64, seed=0, params=chain_params(64))  # default eta -> t_max 0
     assert res.params.degenerate and res.success
     assert len(res.levels) == 1
     assert res.increment_scales == () and res.union_bound_terms == ()

@@ -150,6 +150,25 @@ def test_chain_commands(tmp_path):
     assert len(lines) == 3 and lines[1].startswith("0,64,243,")
 
 
+def test_chain_build_at_size_floor_is_one_level(tmp_path):
+    # L = 64 <= c0: a degenerate chain runs no halving step
+    had_path = tmp_path / "had.json"
+    assert main([
+        "code", "make", "--kind", "hadamard", "--q", "3", "--k", "5",
+        "--out", str(had_path),
+    ]) == 0
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"constants": {"c0": 100}}))
+    out = tmp_path / "net.json"
+    assert main([
+        "chain", "build", "--code", str(had_path), "--list-size", "64", "--eta", "0.5",
+        "--config", str(cfg_path), "--out", str(out),
+    ]) == 0
+    net = read(out)["results"]["net"]
+    assert net["params"]["degenerate"] and net["params"]["t_max"] == 0
+    assert net["success"] and len(net["levels"]) == 1
+
+
 def test_chain_mc_and_symmetrize(rs_path, tmp_path):
     conc_out = tmp_path / "conc.json"
     assert main([

@@ -1,10 +1,11 @@
 """Golden digests: the canonical bytes of one report per result record type
-and per named bound.
+and per named bound, and the bytes of every CSV form.
 
 Each case runs one command in process and hashes `canonical_bytes` of its
-report, with `params.code` (a temporary file path) dropped. A change to any
-key, value or number format of a report changes its digest; a deliberate
-output change updates the digest here and says so.
+report, with `params.code` (a temporary file path) dropped; a CSV case
+hashes the whole file it writes. A change to any key, value or number
+format of a report changes its digest; a deliberate output change updates
+the digest here and says so.
 """
 
 import hashlib
@@ -115,6 +116,22 @@ DIGESTS = {
 }
 
 
+# commands with a CSV form, run with --format csv
+CSV_CASES = {
+    "oracle-profile": CASES["oracle-profile"],
+    "bounds-table": CASES["bounds-table"],
+    "chain-build": CASES["chain-build"],
+    "experiment-beyond-johnson": CASES["experiment-beyond-johnson"],
+}
+
+CSV_DIGESTS = {
+    "bounds-table": "a6e921b3a9e11610e34d3d38a650985900291b8314acce014d9c8bd8f7002be6",
+    "chain-build": "3ffa2a045ad13784df6dca16a9eccd8efcb6187c647d5eb8f57795c8b3021ebd",
+    "experiment-beyond-johnson": "a63becaf0c8bd2819279b7d71c08a983efcc70f6413b0c4abf855d94bbcf0f51",
+    "oracle-profile": "6b4cd442acaa12648f3f630b3adbcbc31539f8ab330e8a0c705364e39d2daca5",
+}
+
+
 @pytest.fixture(scope="module")
 def files(tmp_path_factory):
     root = tmp_path_factory.mktemp("golden")
@@ -142,3 +159,11 @@ def report_digest(argv: list[str], out_path) -> str:
 def test_canonical_report_digest(case, files, tmp_path):
     argv = [files.get(arg, arg) for arg in CASES[case]]
     assert report_digest(argv, tmp_path / "report.json") == DIGESTS[case]
+
+
+@pytest.mark.parametrize("case", sorted(CSV_CASES))
+def test_csv_digest(case, files, tmp_path):
+    argv = [files.get(arg, arg) for arg in CSV_CASES[case]]
+    out_path = tmp_path / "report.csv"
+    assert main([*argv, "--format", "csv", "--out", str(out_path)]) in (0, 1)
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == CSV_DIGESTS[case]

@@ -375,6 +375,34 @@ def _check_scans(code, max_list_size, data):
     assert top_agreement_scan(words, code.field.q, top) == (int(sums.max()), int(sums.argmax()))
 
 
+def test_exhaustive_scans_over_several_codeword_parts(monkeypatch):
+    # RS over GF(5), n = 5, with 400-cell tables: the check splits its 25
+    # codewords into 7 parts over 5 blocks, the profile and the top scan into
+    # 25 parts over 2 blocks, and every block rebuilds its suffix tables
+    monkeypatch.setattr(plurality, "_TABLE_CELLS", 400)
+    code = rs_code(field_new(5), 2, [0, 1, 2, 3, 4])
+    n = code.n
+    verdicts = set()
+    for t in (0, 3, n):
+        for bound in (0, 1, 2):
+            query = ListDecQuery(Fraction(n - t, n), bound)
+            assert query.agreement_threshold(n) == t
+            cert = is_list_decodable(code, query)
+            expected = _reference_check(code, query)
+            assert (cert.verdict, cert.witness_received, cert.witness_codewords) == expected
+            verdicts.add(cert.verdict)
+    assert verdicts == {DECODABLE, VIOLATED}
+    rows = decoding_radius_profile(code, 4)
+    assert [(r.list_size, r.standard_radius, r.average_radius) for r in rows] == (
+        _reference_profile(code, 4)
+    )
+    words, _, agr = _reference_agreements(code)
+    ordered = -np.sort(-agr, axis=1)
+    for top in (1, 3, len(words)):
+        sums = ordered[:, :top].sum(axis=1)
+        assert top_agreement_scan(words, 5, top) == (int(sums.max()), int(sums.argmax()))
+
+
 def test_exhaustive_scans_pull_q_to_the_n_received_words(monkeypatch):
     pulled = []
     original = plurality.iter_received_blocks

@@ -114,29 +114,23 @@ class Field:
     def _build_tables(self) -> None:
         q, poly = self.q, self.poly
         mul = lambda a, b: poly_mod_gf2(poly_mul_gf2(a, b), poly)
-        # Find a multiplicative generator (the default polynomials are
-        # primitive, so 2 = "x" works immediately; the search keeps custom
-        # irreducible-but-not-primitive moduli correct).
+        # One walk over the powers of each candidate g fills the tables, and g is
+        # dropped if it returns to 1 before q - 1 steps. 2 = "x" generates under
+        # the primitive default polynomials; the search serves other moduli.
+        exp = [1] * (2 * (q - 1))
+        log = [0] * q
         for g in range(2, q):
-            x = g
-            order = 1
-            while x != 1:
+            x = 1
+            for i in range(q - 1):
+                exp[i] = exp[i + q - 1] = x
+                log[x] = i
                 x = mul(x, g)
-                order += 1
-                if order > q - 1:
+                if x == 1:
                     break
-            if order == q - 1:
+            if i == q - 2:
                 break
         else:  # pragma: no cover - every GF(2^m) has a generator
             raise ValueError("no multiplicative generator found")
-        exp = [1] * (2 * (q - 1))
-        log = [0] * q
-        x = 1
-        for i in range(q - 1):
-            exp[i] = x
-            exp[i + q - 1] = x
-            log[x] = i
-            x = mul(x, g)
         self._exp = exp
         self._log = log
         self._exp_np = np.array(exp, dtype=np.int64)

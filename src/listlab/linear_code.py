@@ -17,6 +17,7 @@ import numpy as np
 from .config import Budgets
 from .errors import InfeasibleError
 from .galois import Field, field_new
+from .reports import require_keys
 
 # a fixed size cap on hadamard_code, which builds all q^k columns
 MAX_HADAMARD_COLUMNS = 1 << 20
@@ -98,35 +99,34 @@ class LinearCode:
 
     def iter_codeword_chunks(self, chunk: int = 1 << 14, *, budgets: Budgets = Budgets()):
         """Yield the row space in order as arrays of up to `chunk` rows."""
-        basis = self.basis()
-        r = len(basis)
-        q = self.field.q
-        n_words = q**r
-        budgets.check_codewords(n_words)
-        if r == 0:
+        budgets.check_codewords(self.size)
+        if self.rank() == 0:
             yield np.zeros((1, self.n), dtype=np.int64)
             return
-        tables = _scaled_rows(self.field, np.array(basis, dtype=np.int64), np.arange(q))
-        powers = q ** np.arange(r - 1, -1, -1, dtype=np.int64)[:, None]
-        for start in range(0, n_words, chunk):
-            idx = np.arange(start, min(start + chunk, n_words))
-            yield _combine(self.field, tables, idx // powers % q)
+        yield from self._codewords_at([(0, self.size)], chunk)
 
     def min_distance_exact(self, *, budgets: Budgets = Budgets()) -> Fraction:
-        """Exact relative minimum distance by full row-space enumeration."""
-        if self.rank() == 0:
+        """Exact relative minimum distance over one codeword per scalar class (a*c
+        has the weight of c): first nonzero coefficient 1, indices [q^j, 2 q^j) for
+        j < rank, (q^rank - 1)/(q - 1) words; the budget is charged at N = q^rank."""
+        r, q = self.rank(), self.field.q
+        if r == 0:
             raise ValueError("degenerate code: all-zero generator (rank 0)")
-        best = None
-        first = True
-        for block in self.iter_codeword_chunks(budgets=budgets):
-            weights = np.count_nonzero(block, axis=1)
-            if first:
-                weights = weights[1:]  # skip the zero codeword
-                first = False
-            if weights.size:
-                w = int(weights.min())
-                best = w if best is None else min(best, w)
-        return Fraction(best, self.n)
+        budgets.check_codewords(q**r)
+        chunk = max(1, (1 << 14) // self.n)  # <= 128 KiB blocks: under glibc's mmap threshold
+        blocks = self._codewords_at([(q**j, 2 * q**j) for j in range(r)], chunk)
+        return Fraction(min(int(np.count_nonzero(b, axis=1).min()) for b in blocks), self.n)
+
+    def _codewords_at(self, ranges, chunk: int):
+        """Yield in chunks the codewords whose coefficients over the reduced
+        basis are the base-q digits of the indices in each [lo, hi) of `ranges`."""
+        q = self.field.q
+        tables = _scaled_rows(self.field, np.array(self.basis(), dtype=np.int64), np.arange(q))
+        powers = q ** np.arange(len(tables) - 1, -1, -1, dtype=np.int64)[:, None]
+        for lo, hi in ranges:
+            for start in range(lo, hi, chunk):
+                idx = np.arange(start, min(start + chunk, hi))
+                yield _combine(self.field, tables, idx // powers % q)
 
     # -- serialization ------------------------------------------------------
 
@@ -149,11 +149,7 @@ def _is_int(v) -> bool:
 
 def code_from_json_dict(doc: dict) -> LinearCode:
     """Rebuild a code from its JSON document; a malformed one is a ValueError."""
-    if not isinstance(doc, dict):
-        raise ValueError("code document must be a JSON object")
-    missing = [key for key in ("field", "k", "n", "generator") if key not in doc]
-    if missing:
-        raise ValueError(f"code document lacks {missing}")
+    require_keys(doc, ("field", "k", "n", "generator"), "code document")
     fdoc = doc["field"]
     if not isinstance(fdoc, dict) or not _is_int(fdoc.get("q")):
         raise ValueError("code field must be an object with an integer q")

@@ -29,7 +29,7 @@ from .plurality import (
     agreement_block,
     plurality_mass,
 )
-from .reports import Record
+from .reports import Record, require_keys
 from .seeds import rng_for
 
 STANDARD = "standard"
@@ -72,6 +72,7 @@ class ListDecQuery(Record):
 
 
 def query_from_json_dict(doc: dict) -> ListDecQuery:
+    require_keys(doc, ("radius", "list_bound", "mode"), "query")
     return ListDecQuery(Fraction(doc["radius"]), doc["list_bound"], doc["mode"])
 
 
@@ -91,6 +92,11 @@ class Certificate(Record):
     witness_received: tuple[int, ...] | None = None
     witness_codewords: tuple[tuple[int, ...], ...] | None = None
 
+    def __post_init__(self):
+        for name, values in (("verdict", (DECODABLE, VIOLATED)), ("search", (EXHAUSTIVE, BOUNDED))):
+            if getattr(self, name) not in values:
+                raise ValueError(f"{name} must be one of {values}, got {getattr(self, name)!r}")
+
     def verify(self) -> bool:
         """Re-check the verdict from the stored witness alone.
 
@@ -101,8 +107,6 @@ class Certificate(Record):
         """
         if self.verdict == DECODABLE:
             return self.witness_received is None and self.witness_codewords is None
-        if self.verdict != VIOLATED:
-            return False
         code, query = self.code, self.query
         n, q = code.n, code.field.q
         z = self.witness_received
@@ -134,6 +138,7 @@ class Certificate(Record):
 
 
 def certificate_from_json_dict(doc: dict) -> Certificate:
+    require_keys(doc, ("code", "query", "verdict", "search"), "certificate")
     wr = doc.get("witness_received")
     wc = doc.get("witness_codewords")
     return Certificate(

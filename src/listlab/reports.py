@@ -77,6 +77,15 @@ def read_section(doc, known, what: str) -> dict:
     return doc
 
 
+def require_keys(doc, keys, what: str) -> None:
+    """A ValueError naming `what` unless `doc` is a JSON object with every key in `keys`."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    missing = [key for key in keys if key not in doc]
+    if missing:
+        raise ValueError(f"{what} lacks {missing}")
+
+
 def build_report(command: str, params: dict, results: dict, meta: dict | None = None) -> dict:
     return {
         "schema": SCHEMA_VERSION,

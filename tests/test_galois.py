@@ -68,6 +68,41 @@ def test_largest_supported_field():
         field_new(1 << 17)
 
 
+# every default modulus up to degree 12, and two irreducible moduli that are
+# not primitive: GF(16) on x^4+x^3+x^2+x+1 and GF(256) on 0x11B (generator 3)
+TABLE_FIELDS = [(1 << m, DEFAULT_POLY[m]) for m in range(2, 13)] + [(16, 0b11111), (256, 0x11B)]
+
+
+@pytest.mark.parametrize("q, poly", TABLE_FIELDS)
+def test_log_tables_match_polynomial_arithmetic(q, poly):
+    f = field_new(q, poly)
+    ref = lambda a, b: poly_mod_gf2(poly_mul_gf2(a, b), poly)
+    # exp[:q-1] are the powers of g, listing each nonzero element once
+    assert sorted(f._exp[: q - 1]) == list(range(1, q))
+    assert f._exp[q - 1 :] == f._exp[: q - 1]
+    g = f._exp[1]
+    assert all(f._exp[i + 1] == ref(f._exp[i], g) for i in range(q - 2))
+    # g is the smallest generator: every smaller candidate has order < q - 1
+    for h in range(2, g):
+        x, order = h, 1
+        while x != 1:
+            x, order = ref(x, h), order + 1
+        assert order < q - 1
+    if q <= 16:
+        pairs = [(a, b) for a in range(q) for b in range(q)]
+    else:
+        rng = np.random.default_rng(q)
+        pairs = rng.integers(0, q, size=(2000, 2)).tolist() + [(0, q - 1), (q - 1, 1)]
+    assert all(f.mul(a, b) == ref(a, b) for a, b in pairs)
+
+
+def test_table_generators():
+    # x = 2 generates under every (primitive) default modulus
+    assert all(field_new(1 << m)._exp[1] == 2 for m in range(2, 17))
+    assert field_new(16, 0b11111)._exp[1] == 3
+    assert field_new(256, 0x11B)._exp[1] == 3
+
+
 def _axioms_exhaustive(f: Field) -> None:
     q = f.q
     idx = np.arange(q)

@@ -220,6 +220,72 @@ def test_min_distance_budget_and_degenerate():
     assert not mat.any()
 
 
+def _min_weight_reference(code):
+    """Smallest nonzero row weight of the full row space."""
+    weights = np.count_nonzero(code.codeword_matrix(), axis=1)
+    return Fraction(int(weights[weights > 0].min()), code.n)
+
+
+# small prime and binary fields, and GF(16) on a non-primitive modulus
+DISTANCE_FIELDS = [(2, None), (3, None), (4, None), (5, None), (7, None), (8, None),
+                   (16, 0b11111)]
+
+
+@settings(max_examples=120, deadline=None)
+@given(field=st.sampled_from(DISTANCE_FIELDS), data=st.data())
+def test_min_distance_matches_full_enumeration(field, data):
+    f = field_new(*field)
+    k = data.draw(st.integers(1, 4 if f.q <= 5 else 3))
+    n = data.draw(st.integers(1, 8))
+    sym = st.integers(0, f.q - 1)
+    gen = data.draw(st.lists(st.lists(sym, min_size=n, max_size=n), min_size=k, max_size=k))
+    if data.draw(st.booleans()):  # a repeated row: rank < k
+        gen.append(list(gen[data.draw(st.integers(0, k - 1))]))
+    for j in data.draw(st.sets(st.integers(0, n - 1), max_size=n - 1)):  # zero columns
+        for row in gen:
+            row[j] = 0
+    gen[0][data.draw(st.integers(0, n - 1))] = data.draw(st.integers(1, f.q - 1))
+    code = LinearCode(f, gen)
+    assert code.min_distance_exact() == _min_weight_reference(code)
+
+
+def test_min_distance_reads_every_chunk():
+    # [I_16 | P] over GF(2) with P_0 = P_1 and every other P_i distinct and of
+    # weight >= 2: the only weight-2 codeword is row 0 + row 1, at index
+    # 2^15 + 2^14, in the last quarter of the scan and far past its first block
+    tails = [t for t in itertools.product((0, 1), repeat=5) if sum(t) >= 2]
+    parity = [tails[0]] + tails[:15]
+    gen = [[int(i == j) for j in range(16)] + list(parity[i]) for i in range(16)]
+    code = LinearCode(field_new(2), gen)
+    assert code.min_distance_exact() == Fraction(2, 21) == _min_weight_reference(code)
+
+
+@pytest.mark.parametrize(
+    "q, gen",
+    [
+        (2, [[1, 0, 1, 1], [0, 1, 1, 0], [1, 1, 0, 1]]),
+        (5, [[1, 2, 3, 4, 0], [2, 4, 1, 3, 0], [0, 1, 1, 2, 3]]),  # rank 2 of 3 rows
+        (4, [[1, 2, 3], [3, 1, 2]]),
+        (7, [[0, 0, 0], [1, 2, 3]]),  # rank 1
+        (101, [[1, 1, 1, 1], [0, 1, 2, 3], [0, 1, 4, 9]]),
+    ],
+)
+def test_min_distance_encodes_one_word_per_scalar_class(q, gen, monkeypatch):
+    code = LinearCode(field_new(q), gen)
+    encoded = []
+    inner = LinearCode._codewords_at
+
+    def counting(self, ranges, chunk):
+        for block in inner(self, ranges, chunk):
+            encoded.append(len(block))
+            yield block
+
+    monkeypatch.setattr(LinearCode, "_codewords_at", counting)
+    code.min_distance_exact()
+    r = code.rank()
+    assert sum(encoded) == (q**r - 1) // (q - 1)
+
+
 def test_contains_membership():
     f = field_new(5)
     c = rs_code(f, 2, [0, 1, 2, 3])

@@ -198,6 +198,41 @@ def test_certificate_roundtrip_and_tamper():
     assert not certificate_from_json(json.dumps(doc)).verify()
 
 
+def _forged(edit):
+    doc = is_list_decodable(RS5, ListDecQuery(Fraction(1, 2), 2)).as_dict()
+    edit(doc)
+    return doc
+
+
+@pytest.mark.parametrize(
+    "doc, match",
+    [
+        (_forged(lambda d: d.update(search="bogus")), "search"),
+        (_forged(lambda d: d.update(verdict="bogus")), "verdict"),
+        (_forged(lambda d: d.update(verdict=None)), "verdict"),
+        (_forged(lambda d: d.pop("search")), "search"),
+        (_forged(lambda d: d.pop("code")), "code"),
+        (_forged(lambda d: d.pop("query")), "query"),
+        (_forged(lambda d: d["query"].pop("radius")), "radius"),
+        (_forged(lambda d: d["query"].pop("mode")), "mode"),
+        (_forged(lambda d: d.update(query=[1, 2, "standard"])), "query"),
+        ([1, 2], "certificate"),
+        ("violated", "certificate"),
+    ],
+)
+def test_forged_certificates_are_rejected(doc, match):
+    with pytest.raises(ValueError, match=match):
+        certificate_from_json(json.dumps(doc))
+
+
+def test_certificate_rejects_unknown_verdict_and_search():
+    query = ListDecQuery(Fraction(1, 2), 2)
+    with pytest.raises(ValueError, match="verdict"):
+        Certificate(RS5, query, "undecided", EXHAUSTIVE)
+    with pytest.raises(ValueError, match="search"):
+        Certificate(RS5, query, DECODABLE, "sampled")
+
+
 def test_profile_rs_frozen():
     rows = decoding_radius_profile(RS5, 5)
     assert [r.standard_radius for r in rows] == [Fraction(1, 4)] * 5

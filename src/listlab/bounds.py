@@ -13,6 +13,7 @@ from calculus, not from counting).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from numbers import Real
@@ -203,8 +204,8 @@ def decodable_blocklength(q: int, eps: float, variant: str, k: int, cfg: Constan
     eps = float(eps)
     if q < 2 or k < 1:
         raise ValueError("need q >= 2 and k >= 1")
-    if not (0 < eps < 1):
-        raise ValueError(f"eps must lie in (0, 1), got {eps}")
+    if not (0 < eps < 1 and eps**2 >= sys.float_info.min):
+        raise ValueError(f"eps must lie in (0, 1), with eps^2 a normal float, got {eps}")
     log_n_codewords = k * _log2(q)
     if variant == "small-q":
         lst = math.ceil(2 / eps**2)
@@ -219,6 +220,8 @@ def decodable_blocklength(q: int, eps: float, variant: str, k: int, cfg: Constan
         value = 2 * cfg.C0 * log_n_codewords * _log2(lst) ** 5 / eps
     else:
         raise ValueError(f"variant must be 'small-q' or 'large-q', got {variant!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"eps is too small: the blocklength overflows a float, got {eps}")
     return math.ceil(value)
 
 
@@ -267,7 +270,10 @@ def hoeffding_tail(ranges, v) -> float:
     for a, b in ranges:
         if b < a:
             raise ValueError(f"range ({a}, {b}) has b < a")
-        denom += (float(b) - float(a)) ** 2
+        width = float(b) - float(a)
+        denom += width * width
+    if not math.isfinite(denom):
+        raise ValueError("ranges are too wide: the sum of squared widths overflows a float")
     if denom == 0:
         return 2.0 if v == 0 else 0.0
     return 2.0 * math.exp(-2.0 * v * v / denom)

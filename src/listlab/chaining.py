@@ -456,16 +456,20 @@ def concentration_check(
     if L <= exact_limit:
         mode = "exact"
         total = 1 << L
+        # member[bits, i] is bit i of bits; the empty subset's row contributes zero
+        member = np.zeros((total, L), dtype=bool)
+        for i in range(L):
+            member[1 << i : 2 << i] = member[: 1 << i]
+            member[1 << i : 2 << i, i] = True
+        counts_s = np.zeros((total, n), dtype=np.int16)
+        for bits in range(1, total):
+            counts_s[bits] = plurality_counts_array(words[member[bits]], q)[0]
         # integer sums of |S| * |pl_j - pl_j(S)| * L and its square, so the
         # moments are exact rationals until the final float conversion
-        sum1 = np.zeros(n, dtype=np.int64)
-        sum2 = np.zeros(n, dtype=np.int64)
-        for bits in range(1, total):
-            members = [i for i in range(L) if bits >> i & 1]
-            counts_s = plurality_counts_array(words[members], q)[0]
-            diff = np.abs(len(members) * counts_full - L * counts_s)
-            sum1 += diff
-            sum2 += diff * diff
+        sizes = member.sum(axis=1, dtype=np.int16)[:, None]
+        diff = np.abs(sizes * counts_full.astype(np.int16) - L * counts_s)
+        sum1 = diff.sum(axis=0, dtype=np.int64)
+        sum2 = np.einsum("ij,ij->j", diff, diff, dtype=np.int64)
         m1 = [float(Fraction(int(v), L * total)) for v in sum1]
         m2 = [float(Fraction(int(v), L * L * total)) for v in sum2]
         trials_used = total

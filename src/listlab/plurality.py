@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, eq
 
 import numpy as np
 
@@ -273,29 +274,37 @@ def _scan_witness(words: np.ndarray, q: int, top: int, z_index: int):
 
 
 def _mass_by_subsets(words: np.ndarray, q: int, L: int) -> list[int]:
-    """Rows of the first L-set, in DFS order, with the largest plurality-count sum."""
-    n = words.shape[1]
-    rows = [tuple(int(v) for v in w) for w in words]
-    counts = [[0] * q for _ in range(n)]
+    """Rows of the first L-set, in DFS order, with the largest plurality-count sum.
+
+    counts[s + q*j] tallies symbol s at coordinate j over the chosen rows and
+    top[j] is their plurality count there. Adding a row raises top[j] by one
+    exactly where its count equals top[j], so each node passes down a running
+    total, and a last-level row scores that total plus its number of ties.
+    """
+    n_words, n = words.shape
+    keys = (words + q * np.arange(n)).tolist()
+    counts = [0] * (q * n)
+    count_of = counts.__getitem__
     best = [-1, None]
 
-    def visit(chosen: list[int], start: int) -> None:
-        if len(chosen) == L:
-            total = sum(max(c) for c in counts)
-            if total > best[0]:
-                best[0] = total
-                best[1] = tuple(chosen)
+    def visit(chosen: list[int], start: int, top: list[int], total: int) -> None:
+        if len(chosen) == L - 1:
+            for i in range(start, n_words):
+                score = total + sum(map(eq, map(count_of, keys[i]), top))
+                if score > best[0]:
+                    best[:] = score, (*chosen, i)
             return
-        for i in range(start, len(rows) - (L - len(chosen)) + 1):
-            for j, s in enumerate(rows[i]):
-                counts[j][s] += 1
+        for i in range(start, n_words - (L - len(chosen)) + 1):
+            ties = list(map(eq, map(count_of, keys[i]), top))
+            for key in keys[i]:
+                counts[key] += 1
             chosen.append(i)
-            visit(chosen, i + 1)
+            visit(chosen, i + 1, list(map(add, top, ties)), total + ties.count(True))
             chosen.pop()
-            for j, s in enumerate(rows[i]):
-                counts[j][s] -= 1
+            for key in keys[i]:
+                counts[key] -= 1
 
-    visit([], 0)
+    visit([], 0, [0] * n, 0)
     return list(best[1])
 
 

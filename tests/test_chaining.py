@@ -257,7 +257,8 @@ def _exact_moments_reference(code, lam):
 
 def test_concentration_exact_matches_fraction_reference():
     rng = np.random.default_rng(12)
-    for q, k, n, L in ((3, 2, 9, 7), (5, 2, 6, 9), (2, 4, 8, 10)):
+    # L = 2 is the smallest exact set and L = 12 the default exact_limit
+    for q, k, n, L in ((3, 2, 9, 7), (5, 2, 6, 9), (2, 4, 8, 10), (3, 2, 9, 2), (4, 2, 6, 12)):
         code = LinearCode(field_new(q), rng.integers(0, q, size=(k, n)).tolist())
         idxs = rng.choice(q**k, size=L, replace=False)
         lam = MessageSet(tuple(index_to_message(q, k, int(i)) for i in idxs))

@@ -258,6 +258,17 @@ def test_usage_errors(rs_path, tmp_path):
     ):
         err = _usage_error(argv)
         assert err.startswith("error: ") and err.count("\n") == 1
+    # an eps whose square underflows, and ranges whose squared widths overflow
+    for argv, param in (
+        (["bounds", "eval", "--name", "blocklength", "--params",
+          '{"eps": 1e-300, "k": 2, "q": 2, "variant": "small-q"}'], "eps"),
+        (["experiment", "corollary", "--variant", "small-q", "--q", "2",
+          "--eps", "1/1" + "0" * 200, "--k", "2", "--draws", "1"], "eps"),
+        (["bounds", "eval", "--name", "hoeffding", "--params",
+          '{"ranges": [[0, 1e308], [0, 1e308]], "v": 1e308}'], "ranges"),
+    ):
+        err = _usage_error(argv)
+        assert err.startswith("error: ") and err.count("\n") == 1 and param in err
 
 
 def test_config_file_threads_through(rs_path, tmp_path):

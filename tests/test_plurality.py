@@ -15,7 +15,9 @@ from listlab.galois import field_new
 from listlab.linear_code import LinearCode, full_rs_code, hadamard_code
 from listlab.plurality import (
     CodeFamily,
+    MassResult,
     MessageSet,
+    _mass_by_subsets,
     agreement,
     agreement_block,
     candidate_message_sets,
@@ -251,6 +253,59 @@ def test_mass_routes_agree():
             # a single subset fits every budget, so no budget forces the scan
             best, _ = top_agreement_scan(code.codeword_matrix(), q, L)
             assert Fraction(best, L) == subsets.value
+
+
+def _first_lex_maximizer(words, q, L):
+    """First L-set in itertools.combinations order with the largest
+    plurality-count sum."""
+    best, best_rows = -1, None
+    for rows in itertools.combinations(range(len(words)), L):
+        total = int(plurality_counts_array(words[list(rows)], q)[0].sum())
+        if total > best:
+            best, best_rows = total, list(rows)
+    return best_rows
+
+
+@st.composite
+def _word_arrays(draw):
+    """(words, q, L): up to 12 rows over GF(q) drawn from a smaller pool, so
+    duplicate rows are common, and L = 1, L = N or anything between."""
+    q = draw(st.sampled_from([2, 3, 4, 5, 7, 8]))
+    n = draw(st.integers(1, 8))
+    n_words = draw(st.integers(1, 12))
+    row = st.lists(st.integers(0, q - 1), min_size=n, max_size=n)
+    pool = draw(st.lists(row, min_size=1, max_size=n_words))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=n_words, max_size=n_words))
+    L = draw(st.one_of(st.just(1), st.just(n_words), st.integers(1, n_words)))
+    return np.array([pool[i] for i in picks], dtype=np.int64), q, L
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_word_arrays())
+def test_subset_route_witness_is_first_lex_maximizer(case):
+    words, q, L = case
+    assert _mass_by_subsets(words, q, L) == _first_lex_maximizer(words, q, L)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    q_k=st.sampled_from([(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 1), (5, 1), (7, 1), (8, 1)]),
+    data=st.data(),
+)
+def test_subset_route_mass_result(q_k, data):
+    q, k = q_k
+    n = data.draw(st.integers(1, 8))
+    gen = data.draw(st.lists(st.lists(st.integers(0, q - 1), min_size=n, max_size=n),
+                             min_size=k, max_size=k))
+    code = LinearCode(field_new(q), gen)
+    words = code.codeword_matrix()
+    L = data.draw(st.one_of(st.just(1), st.just(len(words)), st.integers(1, len(words))))
+    rows = _first_lex_maximizer(words, q, L)
+    counts, z = plurality_counts_array(words[rows], q)
+    assert plurality_mass(code, L, budgets=Budgets(max_received_words=1)) == MassResult(
+        L, Fraction(int(counts.sum()), L), True, False, "exact", "subsets",
+        tuple(tuple(w) for w in words[rows].tolist()), tuple(z.tolist()),
+    )
 
 
 def test_mass_lower_bounds_below_exact():

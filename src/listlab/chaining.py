@@ -25,7 +25,7 @@ import numpy as np
 from .bounds import ConstantsConfig
 from .config import Budgets
 from .errors import InfeasibleError
-from .linear_code import LinearCode
+from .linear_code import LinearCode, lex_digits
 from .plurality import (
     CodeFamily,
     MessageSet,
@@ -224,16 +224,14 @@ def build_nets(
         heavy_set = set(int(j) for j in heavy)
         pl_t = counts / m_t
         accepted = None
-        retries_used = 0
+        lo = (1 - eta_v) / 2 * m_t
+        hi = (1 + eta_v) / 2 * m_t
         for attempt in range(params.retry_limit):
             coin = rng_for(seed, t, attempt).random(m_t) < 0.5
             sub = rows[coin]
             m_new = len(sub)
-            lo = (1 - eta_v) / 2 * m_t
-            hi = (1 + eta_v) / 2 * m_t
             if not (lo <= m_new <= hi):
                 fails[0] += 1
-                retries_used += 1
                 continue
             counts_new = plurality_counts_array(words[sub], q)[0]
             pl_new = counts_new / m_new
@@ -251,7 +249,6 @@ def build_nets(
             if ok:
                 accepted = (sub, counts_new)
                 break
-            retries_used += 1
         if accepted is None:
             return _finish(
                 code, params, levels, False, t + 1, fails, q_base, min_c4, L
@@ -294,7 +291,7 @@ def build_nets(
                 pl_sum=Fraction(int(counts[list(new_coords)].sum()) if new_coords else 0, m_new),
                 q_bound=params.q_bound(float(q_base), t + 1),
                 size_guard=m_new >= 4 / eta_v**2,
-                retries=retries_used,
+                retries=attempt,
                 step_distance=step_distance,
                 width_rhs=width_rhs,
                 holder_lhs=holder_lhs,
@@ -457,10 +454,7 @@ def concentration_check(
         mode = "exact"
         total = 1 << L
         # member[bits, i] is bit i of bits; the empty subset's row contributes zero
-        member = np.zeros((total, L), dtype=bool)
-        for i in range(L):
-            member[1 << i : 2 << i] = member[: 1 << i]
-            member[1 << i : 2 << i, i] = True
+        member = lex_digits(2, L, np.arange(total))[::-1].T == 1
         counts_s = np.zeros((total, n), dtype=np.int16)
         for bits in range(1, total):
             counts_s[bits] = plurality_counts_array(words[member[bits]], q)[0]

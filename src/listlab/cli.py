@@ -50,7 +50,6 @@ from .oracle import (
 from .plurality import (
     CodeFamily,
     MessageSet,
-    index_to_message,
     max_agreement_sum,
     plurality_mass,
     plurality_profile,
@@ -91,7 +90,7 @@ def _default_messages(code: LinearCode, size: int) -> MessageSet:
     q, k = code.field.q, code.k
     if size > q**k:
         raise ValueError(f"list size {size} exceeds message count {q**k}")
-    return MessageSet(tuple(index_to_message(q, k, i) for i in range(size)))
+    return MessageSet.from_indices(q, k, range(size))
 
 
 def _resolve_messages(args, code: LinearCode) -> MessageSet:
@@ -279,25 +278,25 @@ def _code_info(code: LinearCode, cfg: RunConfig) -> dict:
     return info
 
 
-def _run(args, cfg: RunConfig) -> tuple[dict, list[str] | None, list[list] | None, int]:
+def _run(args, cfg: RunConfig) -> tuple[dict, list[list] | None, int]:
     """Execute one parsed command.
 
-    Returns (results, csv_header, csv_rows, exit_code); csv fields are None
-    when the command has no tabular form.
+    Returns (results, csv_rows, exit_code); csv_rows is None when the
+    command has no tabular form (no entry in REPO_CSV_COLUMNS).
     """
     code_arg = getattr(args, "code", None)
 
     if args.group == "field":
-        return _field_info(field_new(args.q)), None, None, 0
+        return _field_info(field_new(args.q)), None, 0
 
     if args.group == "code":
         if args.action == "make":
             code = _make_code(args, cfg)
-            return {"code": code.as_dict(), "info": _code_info(code, cfg)}, None, None, 0
+            return {"code": code.as_dict(), "info": _code_info(code, cfg)}, None, 0
         code = _load_code(code_arg)
         if args.action == "info":
-            return _code_info(code, cfg), None, None, 0
-        return {"code": code.as_dict()}, None, None, 0
+            return _code_info(code, cfg), None, 0
+        return {"code": code.as_dict()}, None, 0
 
     if args.group == "oracle":
         code = _load_code(code_arg)
@@ -314,25 +313,18 @@ def _run(args, cfg: RunConfig) -> tuple[dict, list[str] | None, list[list] | Non
             else:
                 cert = is_avg_radius_list_decodable(code, query, budgets=cfg.budgets)
             code_result = 1 if cert.verdict == VIOLATED else 0
-            return {"certificate": cert.as_dict()}, None, None, code_result
+            return {"certificate": cert.as_dict()}, None, code_result
         profile = decoding_radius_profile(code, args.max_list_size, budgets=cfg.budgets)
         rows = [[r.list_size, str(r.standard_radius), str(r.average_radius)] for r in profile]
-        return (
-            {"profile": [r.as_dict() for r in profile]},
-            REPO_CSV_COLUMNS["oracle profile"],
-            rows,
-            0,
-        )
+        return {"profile": [r.as_dict() for r in profile]}, rows, 0
 
     if args.group == "bounds":
         if args.action == "eval":
             params = json.loads(args.params)
             rep = evaluate_bound(args.name, params, cfg.constants)
-            return {"bound": rep.as_dict()}, None, None, 0
+            return {"bound": rep.as_dict()}, None, 0
         qs = [int(v) for v in args.q_grid.split(",")]
         epss = [_fraction(v, "--eps-grid") for v in args.eps_grid.split(",")]
-        header = REPO_CSV_COLUMNS["bounds table"]
-        rows = []
         table = []
         for q in qs:
             for eps in epss:
@@ -352,8 +344,7 @@ def _run(args, cfg: RunConfig) -> tuple[dict, list[str] | None, list[list] | Non
                     "beats_johnson": s.beats_johnson,
                 }
                 table.append(row)
-                rows.append([row[c] for c in header])
-        return {"table": table}, header, rows, 0
+        return {"table": table}, [list(row.values()) for row in table], 0
 
     if args.group == "plurality":
         code = _load_code(code_arg)
@@ -366,7 +357,7 @@ def _run(args, cfg: RunConfig) -> tuple[dict, list[str] | None, list[list] | Non
                 seed=args.seed,
                 budgets=cfg.budgets,
             )
-            return {"mass": mass.as_dict()}, None, None, 0
+            return {"mass": mass.as_dict()}, None, 0
         lam = _parse_messages(args.messages)
         if args.action == "profile":
             prof = plurality_profile(code, lam)
@@ -377,11 +368,10 @@ def _run(args, cfg: RunConfig) -> tuple[dict, list[str] | None, list[list] | Non
                     "maximizers": list(prof.maximizers),
                 },
                 None,
-                None,
                 0,
             )
         total, witness = max_agreement_sum(code, lam)
-        return {"total_agreement": total, "witness": list(witness)}, None, None, 0
+        return {"total_agreement": total, "witness": list(witness)}, None, 0
 
     if args.group == "chain":
         if args.action == "symmetrize":
@@ -397,7 +387,7 @@ def _run(args, cfg: RunConfig) -> tuple[dict, list[str] | None, list[list] | Non
                 fam, args.list_size, trials=args.trials, seed=args.seed,
                 n_candidates=args.candidates,
             )
-            return {"symmetrization": rep.as_dict()}, None, None, 0
+            return {"symmetrization": rep.as_dict()}, None, 0
         code = _load_code(code_arg)
         lam = _resolve_messages(args, code)
         if args.action == "build":
@@ -405,7 +395,6 @@ def _run(args, cfg: RunConfig) -> tuple[dict, list[str] | None, list[list] | Non
                 len(lam), cfg.constants, args.eta, retry_limit=args.retry_limit
             )
             res = build_nets(code, lam, seed=args.seed, params=params)
-            header = REPO_CSV_COLUMNS["chain build"]
             rows = [
                 [
                     lv.level, lv.lam_size, len(lv.coords), str(lv.pl_sum),
@@ -414,12 +403,12 @@ def _run(args, cfg: RunConfig) -> tuple[dict, list[str] | None, list[list] | Non
                 ]
                 for lv in res.levels
             ]
-            return {"net": res.as_dict()}, header, rows, 0
+            return {"net": res.as_dict()}, rows, 0
         if args.check == "concentration":
             rep = concentration_check(
                 code, lam, trials=args.trials, seed=args.seed, cfg=cfg.constants
             )
-            return {"concentration": rep.as_dict()}, None, None, 0
+            return {"concentration": rep.as_dict()}, None, 0
         rep = gaussian_supremum_experiment(
             code,
             len(lam),
@@ -429,7 +418,7 @@ def _run(args, cfg: RunConfig) -> tuple[dict, list[str] | None, list[list] | Non
             cfg=cfg.constants,
             budgets=cfg.budgets,
         )
-        return {"supremum": rep.as_dict()}, None, None, 0
+        return {"supremum": rep.as_dict()}, None, 0
 
     if args.group == "experiment":
         if args.action == "corollary":
@@ -447,7 +436,7 @@ def _run(args, cfg: RunConfig) -> tuple[dict, list[str] | None, list[list] | Non
                 require_success_rate=args.require_success_rate,
             )
             failed = rep.verdicts.get("passed") is False
-            return {"experiment": rep.as_dict()}, None, None, 1 if failed else 0
+            return {"experiment": rep.as_dict()}, None, 1 if failed else 0
         rep = experiment_beyond_johnson(
             q=args.q,
             k=args.k,
@@ -457,7 +446,6 @@ def _run(args, cfg: RunConfig) -> tuple[dict, list[str] | None, list[list] | Non
             seed=args.seed,
             budgets=cfg.budgets,
         )
-        header = REPO_CSV_COLUMNS["experiment beyond-johnson"]
         rows = [
             [
                 r["seed_index"], r["distance"], r["johnson_radius"],
@@ -467,11 +455,11 @@ def _run(args, cfg: RunConfig) -> tuple[dict, list[str] | None, list[list] | Non
             ]
             for r in rep.measurements["rows"]
         ]
-        return {"experiment": rep.as_dict()}, header, rows, 0
+        return {"experiment": rep.as_dict()}, rows, 0
 
     if args.group == "suite":
         res = invariant_suite(args.scope, seed=args.seed)
-        return {"suite": res.as_dict()}, None, None, 0 if res.passed else 1
+        return {"suite": res.as_dict()}, None, 0 if res.passed else 1
 
     raise ValueError(f"unknown command group {args.group!r}")
 
@@ -480,14 +468,18 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     start = time.perf_counter()
+    command = args.group + (f" {args.action}" if getattr(args, "action", None) else "")
+    header = REPO_CSV_COLUMNS.get(command)
+    if args.format == "csv" and header is None:
+        print(f"error: {command} has no CSV form; use --format json", file=sys.stderr)
+        return 2
     try:
         cfg = load_config(args.config) if args.config else RunConfig()
-        results, header, rows, exit_code = _run(args, cfg)
+        results, rows, exit_code = _run(args, cfg)
     except (InfeasibleError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    command = args.group + (f" {args.action}" if getattr(args, "action", None) else "")
     params = {
         k: v
         for k, v in sorted(vars(args).items())
@@ -497,13 +489,12 @@ def main(argv: list[str] | None = None) -> int:
     report = build_report(
         command, params, results, meta={"wall_time_s": time.perf_counter() - start}
     )
-    if args.format == "csv":
-        if header is None:
-            print(f"error: {command} has no CSV form; use --format json", file=sys.stderr)
-            return 2
-        emit(render_csv(header, rows), args.out)
-    else:
-        emit(render_json(report), args.out)
+    text = render_csv(header, rows) if args.format == "csv" else render_json(report)
+    try:
+        emit(text, args.out)
+    except OSError as exc:
+        print(f"error: cannot write --out: {exc}", file=sys.stderr)
+        return 2
     return exit_code
 
 

@@ -57,7 +57,6 @@ from .oracle import (
 from .plurality import (
     CodeFamily,
     MessageSet,
-    index_to_message,
     max_agreement_sum,
     plurality_mass,
     top_agreement_scan,
@@ -380,7 +379,7 @@ def _check_plurality_identity(seed: int):
         gen = rng.integers(0, q, size=(2, n))
         code = LinearCode(f, gen.tolist())
         size = min(code.size, int(rng.integers(2, 5)))
-        lam = MessageSet(tuple(index_to_message(q, 2, i) for i in range(size)))
+        lam = MessageSet.from_indices(q, 2, range(size))
         total, _ = max_agreement_sum(code, lam)
         words = code.encode_all(lam.messages)
         best, _ = top_agreement_scan(words, q, len(lam))
@@ -477,7 +476,7 @@ def _check_spread_identity(seed: int):
 
 def _check_net_postconditions(seed: int):
     had = hadamard_code(field_new(3), 5)
-    lam = MessageSet(tuple(index_to_message(3, 5, i) for i in range(64)))
+    lam = MessageSet.from_indices(3, 5, range(64))
     for s in range(3):
         res = build_nets(had, lam, seed=child_seed(seed, s), params=chain_params(64, eta=0.5))
         if not res.success:

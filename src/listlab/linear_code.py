@@ -68,10 +68,6 @@ class LinearCode:
 
     # -- encoding ---------------------------------------------------------
 
-    def encode(self, message) -> tuple[int, ...]:
-        """Codeword of a length-k message vector (x^T G)."""
-        return tuple(self.encode_all([message])[0].tolist())
-
     def encode_all(self, messages) -> np.ndarray:
         """(m, n) codewords of m length-k messages, one row per message.
 
@@ -122,11 +118,10 @@ class LinearCode:
         basis are the base-q digits of the indices in each [lo, hi) of `ranges`."""
         q = self.field.q
         tables = _scaled_rows(self.field, np.array(self.basis(), dtype=np.int64), np.arange(q))
-        powers = q ** np.arange(len(tables) - 1, -1, -1, dtype=np.int64)[:, None]
         for lo, hi in ranges:
             for start in range(lo, hi, chunk):
                 idx = np.arange(start, min(start + chunk, hi))
-                yield _combine(self.field, tables, idx // powers % q)
+                yield _combine(self.field, tables, lex_digits(q, len(tables), idx))
 
     # -- serialization ------------------------------------------------------
 
@@ -176,6 +171,21 @@ def code_to_json(code: LinearCode) -> str:
 
 def code_from_json(text: str) -> LinearCode:
     return code_from_json_dict(json.loads(text))
+
+
+def lex_digits(q: int, width: int, indices) -> np.ndarray:
+    """(width, m) base-q digits of m indices, first row most significant.
+
+    Column i is the indices[i]-th length-`width` word over [0, q) in
+    lexicographic order: every index -> word mapping (received words, codeword
+    coefficients, Hadamard columns, message sets, subset bitmaps) reads its
+    words here. Digits come off by repeated divmod, so no q**width is formed.
+    """
+    rem = np.asarray(indices, dtype=np.int64).reshape(-1)
+    out = np.empty((width, len(rem)), dtype=np.int64)
+    for j in range(width - 1, -1, -1):
+        rem, out[j] = np.divmod(rem, q)
+    return out
 
 
 def _scaled_rows(field: Field, rows: np.ndarray, symbols: np.ndarray) -> np.ndarray:
@@ -250,10 +260,7 @@ def hadamard_code(field: Field, k: int) -> LinearCode:
     n = q**k
     if n > MAX_HADAMARD_COLUMNS:
         raise InfeasibleError(f"hadamard code needs {n} columns, budget {MAX_HADAMARD_COLUMNS}")
-    cols = np.arange(n)
-    gen = []
-    for i in range(k):
-        gen.append(((cols // q ** (k - 1 - i)) % q).tolist())
+    gen = lex_digits(q, k, np.arange(n)).tolist()
     return LinearCode(field, gen, provenance={"kind": "hadamard", "k": k})
 
 

@@ -20,7 +20,7 @@ import numpy as np
 from .config import Budgets
 from .errors import InfeasibleError
 from .galois import Field
-from .linear_code import LinearCode, full_rs_code, hadamard_code, sample_code
+from .linear_code import LinearCode, full_rs_code, hadamard_code, lex_digits, sample_code
 from .reports import Record
 from .seeds import child_seed, rng_for
 
@@ -48,6 +48,11 @@ class MessageSet:
         if len({len(m) for m in msgs}) != 1:
             raise ValueError("messages of mixed length")
 
+    @classmethod
+    def from_indices(cls, q: int, k: int, indices) -> MessageSet:
+        """The length-k messages over [0, q) at these lexicographic indices, in order."""
+        return cls(lex_digits(q, k, indices).T.tolist())
+
     def __len__(self) -> int:
         return len(self.messages)
 
@@ -70,10 +75,6 @@ class PluralityProfile:
     @property
     def pl(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(c, self.size) for c in self.counts)
-
-    def mass(self) -> Fraction:
-        """Sum of the plurality fractions over all coordinates."""
-        return Fraction(sum(self.counts), self.size)
 
 
 def plurality_profile(code: LinearCode, lam: MessageSet) -> PluralityProfile:
@@ -121,15 +122,16 @@ def iter_received_blocks(q: int, n: int, chunk: int = 1 << 14):
     while r < n and chunk % q ** (r + 1) == 0:
         r += 1
     run = q**r
-    tail = np.indices((q,) * r).reshape(r, run).T
+    tail = lex_digits(q, r, np.arange(run)).T
     for start in range(0, total, chunk):
-        rem = np.arange(start // run, min(start + chunk, total) // run, dtype=np.int64)
-        block = np.empty((len(rem), run, n), dtype=np.int64)
+        runs = np.arange(start // run, min(start + chunk, total) // run)
+        block = np.empty((len(runs), run, n), dtype=np.int64)
         block[:, :, n - r :] = tail
-        for j in range(n - r - 1, -1, -1):
-            rem, digit = np.divmod(rem, q)
+        # column by column: broadcasting the (runs, 1, n - r) digits in one
+        # assignment copies only n - r symbols per inner loop, and is slower
+        for j, digit in enumerate(lex_digits(q, n - r, runs)):
             block[:, :, j] = digit[:, None]
-        yield start, block.reshape(len(rem) * run, n)
+        yield start, block.reshape(len(runs) * run, n)
 
 
 def agreement_block(received: np.ndarray, words: np.ndarray) -> np.ndarray:
@@ -181,7 +183,7 @@ def _agreement_tails(words: np.ndarray, q: int, levels):
     n_words, n = words.shape
     pre = n - n // 2
     n_suf = q ** (n // 2)
-    suffixes = np.indices((q,) * (n // 2)).reshape(n // 2, n_suf).T
+    suffixes = lex_digits(q, n // 2, np.arange(n_suf)).T
     step = max(1, min(n_words, _F32_EXACT - 1, _TABLE_CELLS // ((pre + 1) * n_suf * len(levels))))
     # one part: build its suffix table once; more: rebuild per block to bound memory
     table = _suffix_table(suffixes, words[:, pre:], pre + 1, levels) if step == n_words else None
@@ -214,16 +216,6 @@ def _top_sums(tails: np.ndarray, ks) -> np.ndarray:
     for tail in tails.T:
         sums += np.minimum(tail, ks)
     return sums
-
-
-def index_to_message(q: int, k: int, index: int) -> tuple[int, ...]:
-    """The index-th length-k word over [0, q) in lexicographic order, first
-    coordinate most significant."""
-    digits = []
-    for _ in range(k):
-        index, d = divmod(index, q)
-        digits.append(d)
-    return tuple(reversed(digits))
 
 
 # -- plurality mass (max over codeword sets) ---------------------------------
@@ -266,7 +258,7 @@ def top_agreement_scan(words: np.ndarray, q: int, top: int):
 
 def _scan_witness(words: np.ndarray, q: int, top: int, z_index: int):
     n = words.shape[1]
-    z = index_to_message(q, n, z_index)
+    z = tuple(lex_digits(q, n, z_index)[:, 0].tolist())
     agr = agreement_block(np.array([z], dtype=np.int64), words)[0]
     order = np.argsort(-agr, kind="stable")[:top]
     chosen = sorted(int(i) for i in order)
@@ -461,18 +453,14 @@ def candidate_message_sets(field: Field, k: int, L: int, count: int, seed: int) 
     j = 1
     while q**j < L:
         j += 1
-    box = []
-    for a in range(L):
-        prefix = index_to_message(q, j, a)
-        box.append(prefix + (0,) * (k - j))
-    out.append(MessageSet(tuple(box)))
+    box = np.zeros((L, k), dtype=np.int64)
+    box[:, :j] = lex_digits(q, j, np.arange(L)).T
+    out.append(MessageSet(box.tolist()))
     n_shifts = min(2, max(0, count - 1))
     for _ in range(n_shifts):
-        shift = index_to_message(q, k, int(rng.integers(0, total)))
-        shifted = tuple(tuple(field.add(a, b) for a, b in zip(m, shift)) for m in box)
-        out.append(MessageSet(shifted))
+        shift = lex_digits(q, k, int(rng.integers(0, total)))[:, 0]
+        out.append(MessageSet(field.add_array(box, shift).tolist()))
 
     while len(out) < count:
-        idxs = _sample_distinct(rng, total, L)
-        out.append(MessageSet(tuple(index_to_message(q, k, i) for i in idxs)))
+        out.append(MessageSet.from_indices(q, k, _sample_distinct(rng, total, L)))
     return out[:count]

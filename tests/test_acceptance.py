@@ -45,7 +45,6 @@ from listlab.oracle import (
 from listlab.plurality import (
     CodeFamily,
     MessageSet,
-    index_to_message,
     max_agreement_sum,
     plurality_profile,
 )
@@ -169,7 +168,7 @@ def identity_instances():
         n_msgs = q**k
         lam_size = int(rng.integers(1, min(5, n_msgs) + 1))
         picks = sorted(rng.choice(n_msgs, size=lam_size, replace=False).tolist())
-        lam = MessageSet(tuple(index_to_message(q, k, i) for i in picks))
+        lam = MessageSet.from_indices(q, k, picks)
         instances.append((code, lam))
     return instances
 
@@ -181,7 +180,7 @@ def test_c02_plurality_identity_exact(identity_instances):
     matches = 0
     for code, lam in identity_instances:
         q, n = code.field.q, code.n
-        words = np.array([code.encode(m) for m in lam.messages], dtype=np.int16)
+        words = code.encode_all(lam.messages).astype(np.int16)
         received = _all_received(q, n)
         per_word = (received[:, None, :] == words[None, :, :]).sum(axis=(1, 2))
         brute = int(per_word.max())
@@ -312,7 +311,7 @@ def test_c06_chaining_net_postconditions():
     constant stays at most 50 (calibration target, not a proven bound)."""
     start = time.perf_counter()
     code = hadamard_code(field_new(3), 5)
-    lam = MessageSet(tuple(index_to_message(3, 5, i) for i in range(64)))
+    lam = MessageSet.from_indices(3, 5, range(64))
     params = chain_params(64, eta=0.5)
     c4_configured = ConstantsConfig().C4
     accepted = 0
@@ -410,7 +409,7 @@ def test_c08_gaussian_variance_exactness():
         q, k, n = code.field.q, code.k, code.n
         lam_size = int(rng.integers(1, 5))
         picks = sorted(rng.choice(q**k, size=lam_size, replace=False).tolist())
-        lam = MessageSet(tuple(index_to_message(q, k, p) for p in picks))
+        lam = MessageSet.from_indices(q, k, picks)
         m = int(rng.integers(1, n + 1))
         coords = tuple(sorted(rng.choice(n, size=m, replace=False).tolist()))
         pairs_per_code[which].append((coords, lam))

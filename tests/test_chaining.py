@@ -31,7 +31,6 @@ from listlab.linear_code import LinearCode, hadamard_code, rs_code
 from listlab.plurality import (
     CodeFamily,
     MessageSet,
-    index_to_message,
     plurality_counts_array,
     plurality_profile,
 )
@@ -40,7 +39,7 @@ F2 = field_new(2)
 F3 = field_new(3)
 F5 = field_new(5)
 HAD5 = hadamard_code(F3, 5)
-LAM64 = MessageSet(tuple(index_to_message(3, 5, i) for i in range(64)))
+LAM64 = MessageSet.from_indices(3, 5, range(64))
 
 
 def test_chain_params_defaults_and_degeneracy():
@@ -136,7 +135,8 @@ def test_build_level0_identity():
     lv0 = res.levels[0]
     assert lv0.coords == tuple(range(HAD5.n))
     assert lv0.lam == LAM64 and lv0.lam_size == 64
-    assert lv0.pl_sum == plurality_profile(HAD5, LAM64).mass()
+    prof = plurality_profile(HAD5, LAM64)
+    assert lv0.pl_sum == Fraction(sum(prof.counts), prof.size)
     assert res.q_base == lv0.pl_sum
     assert lv0.q_bound == pytest.approx(float(res.q_base))
     assert lv0.retries == 0 and lv0.step_distance is None
@@ -209,7 +209,7 @@ def test_build_degenerate_params_single_level():
 
 def test_build_preconditions():
     had2 = hadamard_code(F3, 2)  # 9 codewords
-    lam5 = MessageSet(tuple(index_to_message(3, 2, i) for i in range(5)))
+    lam5 = MessageSet.from_indices(3, 2, range(5))
     with pytest.raises(ValueError):
         build_nets(had2, lam5, params=chain_params(5, eta=0.5))
     with pytest.raises(ValueError):
@@ -240,7 +240,7 @@ def test_concentration_exact_two_codewords():
 
 def _exact_moments_reference(code, lam):
     """Half-subset moments summed subset by subset in Fractions."""
-    words = np.array([code.encode(m) for m in lam])
+    words = code.encode_all(lam.messages)
     L, q = len(lam), code.field.q
     full = plurality_counts_array(words, q)[0]
     sum1 = [Fraction(0)] * code.n
@@ -261,7 +261,7 @@ def test_concentration_exact_matches_fraction_reference():
     for q, k, n, L in ((3, 2, 9, 7), (5, 2, 6, 9), (2, 4, 8, 10), (3, 2, 9, 2), (4, 2, 6, 12)):
         code = LinearCode(field_new(q), rng.integers(0, q, size=(k, n)).tolist())
         idxs = rng.choice(q**k, size=L, replace=False)
-        lam = MessageSet(tuple(index_to_message(q, k, int(i)) for i in idxs))
+        lam = MessageSet.from_indices(q, k, idxs)
         rep = concentration_check(code, lam, seed=1)
         assert rep.mode == "exact"
         assert (rep.first_moment, rep.second_moment) == _exact_moments_reference(code, lam)
@@ -276,7 +276,7 @@ def test_concentration_constant_column_zero_deviation():
 
 def test_concentration_sampled_tracks_exact():
     had2 = hadamard_code(F3, 2)
-    lam9 = MessageSet(tuple(index_to_message(3, 2, i) for i in range(9)))
+    lam9 = MessageSet.from_indices(3, 2, range(9))
     exact = concentration_check(had2, lam9, seed=6)
     sampled = concentration_check(had2, lam9, trials=3000, seed=6, exact_limit=8)
     assert exact.mode == "exact" and sampled.mode == "sampled"
@@ -294,7 +294,7 @@ def test_concentration_preconditions():
     with pytest.raises(ValueError):
         concentration_check(
             hadamard_code(F3, 2),
-            MessageSet(tuple(index_to_message(3, 2, i) for i in range(9))),
+            MessageSet.from_indices(3, 2, range(9)),
             trials=0,
             exact_limit=4,
         )

@@ -232,7 +232,16 @@ def test_usage_errors(rs_path, tmp_path):
     assert main([
         "plurality", "maxagr", "--code", rs_path, "--messages", "0,1", "--format", "csv",
     ]) == 2  # no CSV form
+    err = _usage_error([  # refused before the command runs, so before its --code is read
+        "plurality", "maxagr", "--code", str(tmp_path / "missing.json"), "--messages", "0,1",
+        "--format", "csv",
+    ])
+    assert "no CSV form" in err and err.count("\n") == 1
     assert main(["code", "info", "--code", str(tmp_path / "missing.json")]) == 2
+    # an --out that cannot be written: a missing directory, or a directory
+    for out in (tmp_path / "no" / "such" / "x.json", tmp_path):
+        err = _usage_error(["field", "--q", "5", "--out", str(out)])
+        assert err.startswith("error: ") and err.count("\n") == 1
     assert main([
         "code", "make", "--kind", "rs", "--q", "5", "--k", "2",  # no --evals
     ]) == 2

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -17,6 +18,7 @@ from listlab.linear_code import (
     code_to_json,
     full_rs_code,
     hadamard_code,
+    lex_digits,
     puncture_code,
     rs_code,
     sample_code,
@@ -26,9 +28,10 @@ from listlab.linear_code import (
 def test_rs_encode_direct_evaluation():
     f = field_new(5)
     c = rs_code(f, 2, [0, 1, 2])
-    assert c.encode((1, 1)) == (1, 2, 3)  # f(x) = 1 + x
-    assert c.encode((0, 0)) == (0, 0, 0)
-    assert c.encode((0, 1)) == (0, 1, 2)  # basis message -> generator row
+    words = c.encode_all([(1, 1), (0, 0), (0, 1)]).tolist()
+    assert words[0] == [1, 2, 3]  # f(x) = 1 + x
+    assert words[1] == [0, 0, 0]
+    assert words[2] == [0, 1, 2]  # basis message -> generator row
 
 
 def test_rs_distance_on_distinct_points():
@@ -57,6 +60,34 @@ def test_hadamard_enumeration_order():
     assert c.n == 4
     cols = [tuple(row[j] for row in c.generator) for j in range(4)]
     assert cols == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    for q, k in ((3, 1), (3, 3), (4, 2), (5, 2), (8, 2)):
+        cols = list(zip(*hadamard_code(field_new(q), k).generator))
+        assert cols == list(itertools.product(range(q), repeat=k))
+
+
+@functools.cache
+def _product_table(q: int, width: int) -> np.ndarray:
+    """(q^width, width) array of itertools.product(range(q), repeat=width)."""
+    flat = itertools.chain.from_iterable(itertools.product(range(q), repeat=width))
+    return np.fromiter(flat, dtype=np.int8, count=q**width * width).reshape(q**width, width)
+
+
+@settings(max_examples=120, deadline=None)
+@given(q=st.sampled_from([2, 3, 5, 8, 16]), width=st.integers(0, 5), data=st.data())
+def test_lex_digits_match_itertools_product(q, width, data):
+    table = _product_table(q, width)
+    idxs = data.draw(st.lists(st.integers(0, len(table) - 1), max_size=30))
+    digits = lex_digits(q, width, idxs)
+    assert digits.shape == (width, len(idxs)) and digits.dtype == np.int64
+    assert digits.T.tolist() == table[idxs].tolist()
+
+
+def test_lex_digits_wide_indices_do_not_overflow():
+    q, width = 65536, 5
+    idxs = [0, 1, q - 1, q, q**2 + 7, 2**62 - 1, 2**62, 2**62 + 12345]
+    expected = [[i // q ** (width - 1 - j) % q for j in range(width)] for i in idxs]
+    assert lex_digits(q, width, idxs).T.tolist() == expected
+    assert lex_digits(q, width, np.array(idxs, dtype=np.int64)).T.tolist() == expected
 
 
 def test_hadamard_distance():
@@ -116,13 +147,13 @@ def test_puncture_column_frequency():
 def test_sample_preserves_expected_pairwise_distance():
     parent = full_rs_code(field_new(5), 2)
     x, y = (1, 2), (3, 1)
-    cx, cy = parent.encode(x), parent.encode(y)
+    cx, cy = parent.encode_all([x, y])
     p_parent = sum(a != b for a, b in zip(cx, cy)) / parent.n
     n, trials = 4, 10_000
     total = 0
     for s in range(trials):
         c = sample_code(parent, n, seed=s)
-        sx, sy = c.encode(x), c.encode(y)
+        sx, sy = c.encode_all([x, y])
         total += sum(a != b for a, b in zip(sx, sy)) / n
     se = math.sqrt(p_parent * (1 - p_parent) / n / trials)
     assert abs(total / trials - p_parent) <= 3 * se
@@ -138,11 +169,10 @@ def test_encode_linearity():
             y = [int(v) for v in rng.integers(0, q, size=3)]
             a = int(rng.integers(0, q))
             xy = [f.add(u, v) for u, v in zip(x, y)]
-            assert c.encode(xy) == tuple(
-                f.add(u, v) for u, v in zip(c.encode(x), c.encode(y))
-            )
             ax = [f.mul(a, u) for u in x]
-            assert c.encode(ax) == tuple(f.mul(a, u) for u in c.encode(x))
+            cx, cy, cxy, cax = c.encode_all([x, y, xy, ax]).tolist()
+            assert cxy == [f.add(u, v) for u, v in zip(cx, cy)]
+            assert cax == [f.mul(a, u) for u in cx]
 
 
 def _encode_reference(code, message):
@@ -173,7 +203,7 @@ def test_encode_all_matches_scalar_reference(field, data):
     words = code.encode_all(msgs)
     assert words.shape == (len(msgs), n) and words.dtype == np.int64
     assert [tuple(w) for w in words.tolist()] == [_encode_reference(code, m) for m in msgs]
-    assert code.encode(msgs[0]) == _encode_reference(code, msgs[0])
+    assert tuple(code.encode_all([msgs[0]])[0].tolist()) == _encode_reference(code, msgs[0])
     # the row-space enumeration is the encoder applied to the reduced basis
     r = code.rank()
     if r and f.q**r <= 512:
@@ -187,7 +217,7 @@ def test_encode_all_matches_scalar_reference(field, data):
 def test_encode_rejects_symbols_outside_the_field(message):
     code = rs_code(field_new(5), 2, [0, 1, 2])
     with pytest.raises(ValueError):
-        code.encode(message)
+        code.encode_all([message])
     with pytest.raises(ValueError):
         code.encode_all([(0, 0), message])
 
@@ -199,7 +229,7 @@ def test_codeword_matrix_is_exact_row_space():
     mat = c.codeword_matrix()
     assert mat.shape == (9, 4)
     brute = {
-        tuple(c.encode(m)) for m in itertools.product(range(3), repeat=3)
+        tuple(w) for w in c.encode_all(list(itertools.product(range(3), repeat=3))).tolist()
     }
     assert {tuple(int(v) for v in row) for row in mat} == brute
     assert len({tuple(int(v) for v in row) for row in mat}) == 9
@@ -289,7 +319,7 @@ def test_min_distance_encodes_one_word_per_scalar_class(q, gen, monkeypatch):
 def test_contains_membership():
     f = field_new(5)
     c = rs_code(f, 2, [0, 1, 2, 3])
-    assert c.contains(c.encode((3, 4)))
+    assert c.contains(c.encode_all([(3, 4)])[0])
     assert c.contains((0, 0, 0, 0))
     assert not c.contains((1, 0, 0, 0))  # constant-term mismatch with slope
     assert not c.contains((1, 1, 1))  # wrong length

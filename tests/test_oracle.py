@@ -66,7 +66,7 @@ def test_query_validation():
 
 
 def test_list_at_trivial_radii():
-    z = RS5.encode((2, 3))
+    z = tuple(RS5.encode_all([(2, 3)])[0].tolist())
     assert list_at(RS5, z, 0) == (z,)
     whole = list_at(RS5, (0, 0, 0, 0), 1)
     assert len(whole) == 25 and len(set(whole)) == 25
@@ -74,7 +74,9 @@ def test_list_at_trivial_radii():
 
 def test_list_at_matches_distance_loop():
     q = 5
-    all_words = {tuple(RS5.encode(m)) for m in itertools.product(range(q), repeat=2)}
+    all_words = {
+        tuple(w) for w in RS5.encode_all(list(itertools.product(range(q), repeat=2))).tolist()
+    }
     rng = np.random.default_rng(42)
     for _ in range(20):
         z = tuple(int(x) for x in rng.integers(0, q, size=4))

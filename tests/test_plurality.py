@@ -21,7 +21,6 @@ from listlab.plurality import (
     agreement,
     agreement_block,
     candidate_message_sets,
-    index_to_message,
     iter_received_blocks,
     max_agreement_sum,
     plurality_counts_array,
@@ -41,7 +40,7 @@ def _random_code(rng, q, k, n):
 
 
 def _brute_force_max_agreement(code, lam):
-    words = np.array([code.encode(m) for m in lam], dtype=np.int64)
+    words = code.encode_all(lam.messages)
     best, best_z = -1, None
     for start, block in iter_received_blocks(code.field.q, code.n, chunk=4096):
         sums = agreement_block(block, words).sum(axis=1)
@@ -77,6 +76,17 @@ def test_received_blocks_enumerate_lexicographically(q, n, chunk):
     assert words.tolist() == [list(w) for w in itertools.product(range(q), repeat=n)]
 
 
+def test_message_set_from_indices_is_lexicographic():
+    for q, k in ((2, 3), (3, 2), (4, 2), (5, 1)):
+        words = list(itertools.product(range(q), repeat=k))
+        assert MessageSet.from_indices(q, k, range(q**k)).messages == tuple(words)
+        picks = [q**k - 1, 0, q**k // 2]
+        assert MessageSet.from_indices(q, k, picks).messages == tuple(words[i] for i in picks)
+        assert MessageSet.from_indices(q, k, np.array(picks)) == MessageSet.from_indices(
+            q, k, picks
+        )
+
+
 def test_message_set_validation():
     with pytest.raises(ValueError):
         MessageSet(((0, 1), (0, 1)))
@@ -104,16 +114,16 @@ def test_profile_singleton():
     assert all(p == 1 for p in prof.pl)
     value, witness = max_agreement_sum(code, lam)
     assert value == code.n
-    assert witness == code.encode((2, 3))
+    assert witness == tuple(code.encode_all([(2, 3)])[0].tolist())
 
 
 def test_profile_full_hadamard_gf3():
     code = hadamard_code(field_new(3), 2)
-    lam = MessageSet(tuple(index_to_message(3, 2, i) for i in range(9)))
+    lam = MessageSet.from_indices(3, 2, range(9))
     prof = plurality_profile(code, lam)
     assert prof.counts[0] == 9  # zero column
     assert all(c == 3 for c in prof.counts[1:])
-    assert prof.mass() == Fraction(9 + 8 * 3, 9)
+    assert Fraction(sum(prof.counts), prof.size) == Fraction(9 + 8 * 3, 9)
 
 
 def test_identity_against_full_enumeration():
@@ -126,12 +136,12 @@ def test_identity_against_full_enumeration():
         L = int(rng.integers(1, 6))
         total = q**k
         idxs = rng.choice(total, size=min(L, total), replace=False)
-        lam = MessageSet(tuple(index_to_message(q, k, int(i)) for i in idxs))
+        lam = MessageSet.from_indices(q, k, idxs)
         value, witness = max_agreement_sum(code, lam)
         brute, _ = _brute_force_max_agreement(code, lam)
         assert value == brute
         # witness attains the maximum
-        assert sum(agreement(code.encode(m), witness) for m in lam) == value
+        assert sum(agreement(w, witness) for w in code.encode_all(lam.messages).tolist()) == value
         prof = plurality_profile(code, lam)
         for p in prof.pl:
             assert Fraction(1, min(q, len(lam))) <= p <= 1
@@ -145,7 +155,7 @@ def test_count_monotonicity_under_restriction():
         total = q**2
         size = int(rng.integers(2, min(6, total) + 1))
         idxs = list(rng.choice(total, size=size, replace=False))
-        msgs = [index_to_message(q, 2, int(i)) for i in idxs]
+        msgs = MessageSet.from_indices(q, 2, idxs).messages
         sub = msgs[: int(rng.integers(1, size))]
         big = plurality_profile(code, MessageSet(tuple(msgs)))
         small = plurality_profile(code, MessageSet(tuple(sub)))

@@ -29,6 +29,8 @@ from .linear_code import LinearCode, lex_digits
 from .plurality import (
     CodeFamily,
     MessageSet,
+    _batch_size,
+    _counts_side_by_side,
     candidate_message_sets,
     plurality_counts_array,
     plurality_mass,
@@ -536,10 +538,19 @@ class SymmetrizationReport(Record):
 
 
 def _pl_matrix(code: LinearCode, lams: list[MessageSet]) -> np.ndarray:
-    rows = []
-    for lam in lams:
-        rows.append([float(v) for v in plurality_profile(code, lam).pl])
-    return np.array(rows)
+    """(len(lams), n) float plurality vectors of message sets of one size L.
+
+    Each batch of sets is encoded in one call and counted side by side in
+    one more; counts / L rounds exactly as float(Fraction(count, L)) does.
+    """
+    q, n, L = code.field.q, code.n, len(lams[0])
+    step = _batch_size(q, n, L)
+    out = np.empty((len(lams), n))
+    for lo in range(0, len(lams), step):
+        part = lams[lo : lo + step]
+        words = code.encode_all([m for lam in part for m in lam])
+        out[lo : lo + len(part)] = _counts_side_by_side(words.reshape(len(part), L, n), q) / L
+    return out
 
 
 def symmetrization_check(

@@ -63,6 +63,19 @@ def poly_mod_gf2(a: int, mod: int) -> int:
     return a
 
 
+def _mul_const_gf2(a: np.ndarray, c: int, high: np.ndarray, m: int, out: np.ndarray) -> None:
+    """out = a * c elementwise, for residues a (array) and c of degree < m;
+    high[h] is the residue of h * x^m, which folds the product's top bits back.
+    Works in place, so at most two temporaries the size of a are alive."""
+    out[...] = 0
+    for b in range(c.bit_length()):
+        if c >> b & 1:
+            out ^= a << b
+    top = out >> m
+    out &= (1 << m) - 1
+    out ^= high[top]
+
+
 def is_irreducible_gf2(poly: int) -> bool:
     """Brute-force irreducibility test: trial division by every lower-degree factor."""
     m = poly.bit_length() - 1
@@ -112,29 +125,41 @@ class Field:
             raise ValueError(f"{q} is neither prime nor a power of 2")
 
     def _build_tables(self) -> None:
-        q, poly = self.q, self.poly
+        q, poly, m = self.q, self.poly, self.degree
         mul = lambda a, b: poly_mod_gf2(poly_mul_gf2(a, b), poly)
-        # One walk over the powers of each candidate g fills the tables, and g is
-        # dropped if it returns to 1 before q - 1 steps. 2 = "x" generates under
-        # the primitive default polynomials; the search serves other moduli.
-        exp = [1] * (2 * (q - 1))
-        log = [0] * q
+        # The powers of each candidate g fill exp by doubling: with g^0..g^(s-1)
+        # in place, exp[s:2s] = exp[:s] * g^s is one vectorized multiply by a
+        # constant. g is dropped if 1 recurs among g^1..g^(q-2). 2 = "x"
+        # generates under the primitive default polynomials; the search serves
+        # other moduli. high[h] = h * x^m mod poly is linear in h, so it too
+        # fills by doubling, one bit of h at a time.
+        high = np.zeros(1, dtype=np.int64)
+        for b in range(m - 1):
+            high = np.concatenate((high, high ^ poly_mod_gf2(1 << (m + b), poly)))
+        exp_np = np.empty(2 * (q - 1), dtype=np.int64)
+        exp = exp_np[: q - 1]
+        exp[0] = 1
         for g in range(2, q):
-            x = 1
-            for i in range(q - 1):
-                exp[i] = exp[i + q - 1] = x
-                log[x] = i
-                x = mul(x, g)
-                if x == 1:
-                    break
-            if i == q - 2:
+            s, c = 1, g
+            while s < q - 1:
+                t = min(s, q - 1 - s)
+                _mul_const_gf2(exp[:t], c, high, m, exp[s : s + t])
+                s, c = s + t, mul(c, c)
+            if not (exp[1:] == 1).any():
                 break
         else:  # pragma: no cover - every GF(2^m) has a generator
             raise ValueError("no multiplicative generator found")
-        self._exp = exp
-        self._log = log
-        self._exp_np = np.array(exp, dtype=np.int64)
-        self._log_np = np.array(log, dtype=np.int64)
+        exp_np[q - 1 :] = exp
+        log = np.zeros(q, dtype=np.int64)
+        log[exp] = np.arange(q - 1)
+        # Scalar mul reads Python lists. They come last, once the numpy
+        # temporaries are freed, and share one int object per element.
+        del high
+        ints = np.arange(q).astype(object)
+        self._exp = ints[exp].tolist() * 2
+        self._log = ints[log].tolist()
+        self._exp_np = exp_np
+        self._log_np = log
 
     # -- scalar operations ----------------------------------------------
 

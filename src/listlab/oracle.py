@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from .config import Budgets
-from .linear_code import LinearCode, code_from_json_dict
+from .linear_code import LinearCode, _is_int, code_from_json_dict
 from .plurality import (
     _agreement_tails,
     _top_sums,
@@ -72,8 +72,19 @@ class ListDecQuery(Record):
 
 
 def query_from_json_dict(doc: dict) -> ListDecQuery:
+    """Rebuild a query: the radius is an integer or a fraction string, the list
+    bound an integer; anything else is a ValueError naming the field."""
     require_keys(doc, ("radius", "list_bound", "mode"), "query")
-    return ListDecQuery(Fraction(doc["radius"]), doc["list_bound"], doc["mode"])
+    radius, bound = doc["radius"], doc["list_bound"]
+    if not (_is_int(radius) or isinstance(radius, str)):
+        raise ValueError(f"query radius must be an integer or a fraction string, got {radius!r}")
+    try:
+        radius = Fraction(radius)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"query radius {radius!r} is not a fraction") from None
+    if not _is_int(bound):
+        raise ValueError(f"query list_bound must be an integer, got {bound!r}")
+    return ListDecQuery(radius, bound, doc["mode"])
 
 
 @dataclass(frozen=True)
@@ -141,16 +152,22 @@ def certificate_from_json_dict(doc: dict) -> Certificate:
     require_keys(doc, ("code", "query", "verdict", "search"), "certificate")
     wr = doc.get("witness_received")
     wc = doc.get("witness_codewords")
+    if wr is not None and not _is_word(wr):
+        raise ValueError("certificate witness_received must be a list of integers or null")
+    if wc is not None and not (isinstance(wc, list) and all(_is_word(c) for c in wc)):
+        raise ValueError("certificate witness_codewords must be a list of integer lists or null")
     return Certificate(
         code=code_from_json_dict(doc["code"]),
         query=query_from_json_dict(doc["query"]),
         verdict=doc["verdict"],
         search=doc["search"],
-        witness_received=tuple(int(x) for x in wr) if wr is not None else None,
-        witness_codewords=(
-            tuple(tuple(int(x) for x in c) for c in wc) if wc is not None else None
-        ),
+        witness_received=tuple(wr) if wr is not None else None,
+        witness_codewords=tuple(tuple(c) for c in wc) if wc is not None else None,
     )
+
+
+def _is_word(v) -> bool:
+    return isinstance(v, list) and all(_is_int(x) for x in v)
 
 
 def certificate_to_json(cert: Certificate) -> str:

@@ -97,6 +97,26 @@ def plurality_counts_array(words: np.ndarray, q: int) -> tuple[np.ndarray, np.nd
     return symbol_counts.max(axis=1), symbol_counts.argmax(axis=1)
 
 
+# side-by-side batches of codeword sets keep their temporaries (words, keys and
+# symbol counts) under about _BATCH_CELLS entries
+_BATCH_CELLS = 1 << 16
+
+
+def _batch_size(q: int, n: int, L: int) -> int:
+    """Sets of L length-n words over [0, q) per side-by-side counter call."""
+    return max(1, _BATCH_CELLS // (n * (q + L)))
+
+
+def _counts_side_by_side(sets: np.ndarray, q: int) -> np.ndarray:
+    """(m, n) plurality counts of m codeword sets given as an (m, L, n) array.
+
+    The sets are laid side by side as one (L, m*n) word array, so one
+    plurality_counts_array call counts them all: column block i holds set i.
+    """
+    m, L, n = sets.shape
+    return plurality_counts_array(sets.transpose(1, 0, 2).reshape(L, m * n), q)[0].reshape(m, n)
+
+
 def max_agreement_sum(code: LinearCode, lam: MessageSet) -> tuple[int, tuple[int, ...]]:
     """Maximum over received words z of the summed agreement with the set.
 
@@ -375,12 +395,18 @@ def plurality_mass(
         if trials < 1:
             raise ValueError(f"trials must be >= 1, got {trials}")
         rng = rng_for(seed, 0)
+        chunk = _batch_size(q, words.shape[1], L)
         best_val, best_rows = -1, None
-        for _ in range(trials):
-            rows = np.sort(rng.choice(n_words, size=L, replace=False))
-            total = int(plurality_counts_array(words[rows], q)[0].sum())
-            if total > best_val:
-                best_val, best_rows = total, rows
+        for lo in range(0, trials, chunk):
+            # one sort per chunk orders each trial's rows as a per-trial sort would
+            draws = np.sort([
+                rng.choice(n_words, size=L, replace=False) for _ in range(min(chunk, trials - lo))
+            ])
+            totals = _counts_side_by_side(words[draws], q).sum(axis=1)
+            # argmax is the chunk's first maximum; a later chunk must beat it strictly
+            t = int(totals.argmax())
+            if totals[t] > best_val:
+                best_val, best_rows = int(totals[t]), draws[t]
         return _mass_result(words, best_rows, q, False, mode, None)
 
     raise ValueError(f"unknown mode {mode!r}")
@@ -445,6 +471,11 @@ def candidate_message_sets(field: Field, k: int, L: int, count: int, seed: int) 
         raise ValueError(f"candidates must be >= 1, got {count}")
     q = field.q
     total = q**k
+    if total - 1 > 2**63 - 1:
+        raise ValueError(
+            f"--q {q} and --k {k} give message indices up to q^k - 1, "
+            f"past the 2^63 - 1 limit of sampled message sets"
+        )
     if L > total:
         raise ValueError(f"L = {L} exceeds message count {total}")
     rng = rng_for(seed, 0xC0DE)

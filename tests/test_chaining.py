@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from listlab.bounds import ConstantsConfig
 from listlab.chaining import (
+    _pl_matrix,
     build_nets,
     chain_params,
     concentration_check,
@@ -31,6 +32,7 @@ from listlab.linear_code import LinearCode, hadamard_code, rs_code
 from listlab.plurality import (
     CodeFamily,
     MessageSet,
+    candidate_message_sets,
     plurality_counts_array,
     plurality_profile,
 )
@@ -298,6 +300,18 @@ def test_concentration_preconditions():
             trials=0,
             exact_limit=4,
         )
+
+
+@pytest.mark.parametrize("code, L, count", [
+    (hadamard_code(F3, 2), 4, 5),
+    (rs_code(F5, 2, [0, 1, 2, 3, 4]), 1, 3),
+    # 10 * (256 + 3) cells per set: 60 sets take three side-by-side batches
+    (rs_code(field_new(256), 2, list(range(0, 200, 20))), 3, 60),
+])
+def test_pl_matrix_rows_are_float_profiles(code, L, count):
+    lams = candidate_message_sets(code.field, code.k, L, count, seed=7)
+    want = [[float(v) for v in plurality_profile(code, lam).pl] for lam in lams]
+    assert _pl_matrix(code, lams).tolist() == want
 
 
 def test_symmetrization_fixed_family_trivial():

@@ -494,3 +494,13 @@ def test_counts_below_one_are_usage_errors(rs_path, argv, name):
     err = _usage_error([*argv, "--code", rs_path])
     assert err.startswith("error: ") and err.count("\n") == 1
     assert name in err
+
+
+def test_candidate_sets_past_int64_message_indices_are_usage_errors():
+    # 256^8 = 2^64 messages: their indices do not fit in an int64
+    err = _usage_error([
+        "chain", "symmetrize", "--family", "sampled-rs", "--q", "256", "--k", "8",
+        "--n", "10", "--list-size", "3", "--trials", "2", "--candidates", "4",
+    ])
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "--q 256" in err and "--k 8" in err and "2^63 - 1" in err

@@ -70,7 +70,7 @@ def test_largest_supported_field():
 
 # every default modulus up to degree 12, and two irreducible moduli that are
 # not primitive: GF(16) on x^4+x^3+x^2+x+1 and GF(256) on 0x11B (generator 3)
-TABLE_FIELDS = [(1 << m, DEFAULT_POLY[m]) for m in range(2, 13)] + [(16, 0b11111), (256, 0x11B)]
+TABLE_FIELDS = [(1 << m, DEFAULT_POLY[m]) for m in range(2, 17)] + [(16, 0b11111), (256, 0x11B)]
 
 
 @pytest.mark.parametrize("q, poly", TABLE_FIELDS)

@@ -220,6 +220,22 @@ def _forged(edit):
         (_forged(lambda d: d.update(query=[1, 2, "standard"])), "query"),
         ([1, 2], "certificate"),
         ("violated", "certificate"),
+        (_forged(lambda d: d["query"].update(radius=[1])), "radius"),
+        (_forged(lambda d: d["query"].update(radius={})), "radius"),
+        (_forged(lambda d: d["query"].update(radius=True)), "radius"),
+        (_forged(lambda d: d["query"].update(radius=0.5)), "radius"),
+        (_forged(lambda d: d["query"].update(radius="1/0")), "radius"),
+        (_forged(lambda d: d["query"].update(radius="half")), "radius"),
+        (_forged(lambda d: d["query"].update(list_bound=True)), "list_bound"),
+        (_forged(lambda d: d["query"].update(list_bound=2.0)), "list_bound"),
+        (_forged(lambda d: d["query"].update(list_bound="2")), "list_bound"),
+        (_forged(lambda d: d["query"].update(list_bound=[2])), "list_bound"),
+        (_forged(lambda d: d.update(witness_received="0000")), "witness_received"),
+        (_forged(lambda d: d["witness_received"].__setitem__(0, True)), "witness_received"),
+        (_forged(lambda d: d["witness_received"].__setitem__(0, 1.0)), "witness_received"),
+        (_forged(lambda d: d.update(witness_codewords=5)), "witness_codewords"),
+        (_forged(lambda d: d["witness_codewords"].__setitem__(0, 7)), "witness_codewords"),
+        (_forged(lambda d: d["witness_codewords"][0].__setitem__(0, "1")), "witness_codewords"),
     ],
 )
 def test_forged_certificates_are_rejected(doc, match):

@@ -17,6 +17,7 @@ from listlab.plurality import (
     CodeFamily,
     MassResult,
     MessageSet,
+    _batch_size,
     _mass_by_subsets,
     agreement,
     agreement_block,
@@ -28,6 +29,7 @@ from listlab.plurality import (
     plurality_profile,
     top_agreement_scan,
 )
+from listlab.seeds import rng_for
 
 
 def _random_code(rng, q, k, n):
@@ -330,6 +332,35 @@ def test_mass_lower_bounds_below_exact():
         assert sampled.lower_bound and greedy.lower_bound
         assert sampled.value <= exact.value
         assert greedy.value <= exact.value
+
+
+def _sampled_mass_reference(code, L, trials, seed):
+    """Trial-by-trial sampled mass: (value, witness) of the first best draw."""
+    words = code.codeword_matrix()
+    rng = rng_for(seed, 0)
+    best, best_rows = -1, None
+    for _ in range(trials):
+        rows = np.sort(rng.choice(len(words), size=L, replace=False))
+        total = int(plurality_counts_array(words[rows], code.field.q)[0].sum())
+        if total > best:
+            best, best_rows = total, rows
+    return Fraction(best, L), tuple(tuple(w) for w in words[best_rows].tolist())
+
+
+@pytest.mark.parametrize("q, k, n, L", [(2, 3, 5, 3), (7, 2, 6, 4), (7, 2, 6, 1), (16, 2, 7, 5)])
+def test_sampled_mass_matches_trial_by_trial_reference(q, k, n, L):
+    # small codes tie often, and at L = 1 every draw ties, so the first-maximum
+    # rule is exercised within and across the side-by-side chunks
+    code = _random_code(np.random.default_rng(q), q, k, n)
+    chunk = _batch_size(q, n, L)
+    assert chunk > 2
+    for trials in (1, chunk - 1, chunk, chunk + 1):
+        for seed in (0, 5):
+            got = plurality_mass(code, L, mode="sampled", trials=trials, seed=seed)
+            assert (got.value, got.witness_codewords) == _sampled_mass_reference(
+                code, L, trials, seed
+            )
+            assert got.lower_bound and not got.exact
 
 
 def test_candidate_sets_deterministic_and_valid():

@@ -249,7 +249,8 @@ def experiment_beyond_johnson(
             johnson, clamped = johnson_radius_from_distance(q, delta)
             row = {
                 "seed_index": s,
-                "evaluation_points": [int(col[1]) if k > 1 else 0 for col in zip(*code.generator)],
+                # the full-RS parent evaluates its column c at the point c
+                "evaluation_points": list(code.provenance["columns"]),
                 "distance": str(delta),
                 "johnson_radius": johnson,
                 "johnson_clamped": clamped,

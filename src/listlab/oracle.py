@@ -111,10 +111,11 @@ class Certificate(Record):
     def verify(self) -> bool:
         """Re-check the verdict from the stored witness alone.
 
-        Violations are re-proved by direct recomputation (ball recount in
-        standard mode, exact average-distance comparison in average-radius
-        mode). Decodable verdicts carry no witness; for them this only checks
-        structural consistency.
+        Violations are re-proved by direct recomputation: in standard mode,
+        more than `list_bound` distinct codewords each agreeing with the
+        received word in at least the threshold count; in average-radius
+        mode, an exact average-distance comparison. Decodable verdicts carry
+        no witness; for them this only checks structural consistency.
         """
         if self.verdict == DECODABLE:
             return self.witness_received is None and self.witness_codewords is None
@@ -122,22 +123,16 @@ class Certificate(Record):
         n, q = code.n, code.field.q
         z = self.witness_received
         lam = self.witness_codewords
-        if z is None or lam is None or len(z) != n:
+        if z is None or lam is None or len(set(lam)) != len(lam):
             return False
-        if any(not (0 <= int(x) < q) for x in z):
-            return False
-        if len(set(lam)) != len(lam):
-            return False
-        for c in lam:
-            if len(c) != n or not code.contains(c):
+        for w in (z, *lam):
+            if len(w) != n or any(not (0 <= int(x) < q) for x in w):
                 return False
+        if not all(code.contains(c) for c in lam):
+            return False
         if query.mode == STANDARD:
             t = query.agreement_threshold(n)
-            if len(lam) <= query.list_bound:
-                return False
-            if any(agreement(z, c) < t for c in lam):
-                return False
-            return len(list_at(code, z, query.radius)) > query.list_bound
+            return len(lam) > query.list_bound and all(agreement(z, c) >= t for c in lam)
         size = query.list_bound + 1
         if len(lam) != size:
             return False
@@ -176,34 +171,6 @@ def certificate_to_json(cert: Certificate) -> str:
 
 def certificate_from_json(text: str) -> Certificate:
     return certificate_from_json_dict(json.loads(text))
-
-
-# -- ball membership ----------------------------------------------------------
-
-
-def list_at(
-    code: LinearCode,
-    received,
-    radius,
-    *,
-    budgets: Budgets = Budgets(),
-) -> tuple[tuple[int, ...], ...]:
-    """All codewords within relative distance `radius` of `received`.
-
-    Exact Hamming-ball membership over the full row space, in enumeration
-    order.
-    """
-    n = code.n
-    t = ListDecQuery(radius, 0).agreement_threshold(n)
-    z = np.array([tuple(int(x) for x in received)], dtype=np.int64)
-    if z.shape[1] != n:
-        raise ValueError(f"received word length {z.shape[1]} != n = {n}")
-    members: list[tuple[int, ...]] = []
-    for block in code.iter_codeword_chunks(budgets=budgets):
-        agr = agreement_block(z, block)[0]
-        for i in np.nonzero(agr >= t)[0]:
-            members.append(tuple(int(v) for v in block[i]))
-    return tuple(members)
 
 
 # -- standard-mode oracle ------------------------------------------------------

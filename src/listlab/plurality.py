@@ -169,11 +169,6 @@ _TABLE_CELLS = 1 << 20
 _BLOCK_ROWS = 1 << 13
 
 
-def _agreements(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """(len(x), len(y)) agreement counts of two small word arrays."""
-    return (x[:, None, :] == y[None, :, :]).sum(axis=2)
-
-
 def _suffix_table(suffixes: np.ndarray, words: np.ndarray, shifts: int, levels) -> np.ndarray:
     """((shift, codeword), (suffix, level)) table of [A_suf(s, c) >= levels[j] - i].
 
@@ -185,7 +180,7 @@ def _suffix_table(suffixes: np.ndarray, words: np.ndarray, shifts: int, levels) 
     """
     need = np.asarray(levels) - np.arange(shifts)[:, None]
     rows = (np.arange(words.shape[1] + 1)[:, None] >= need[:, None, :]).astype(np.float32)
-    return np.take(rows, _agreements(words, suffixes), axis=1).reshape(shifts * len(words), -1)
+    return np.take(rows, agreement_block(words, suffixes), axis=1).reshape(shifts * len(words), -1)
 
 
 def _agreement_tails(words: np.ndarray, q: int, levels):
@@ -213,7 +208,7 @@ def _agreement_tails(words: np.ndarray, q: int, levels):
         tails = 0
         for lo in range(0, n_words, step):
             part = words[lo : lo + step]
-            agr = _agreements(prefixes, part[:, :pre])
+            agr = agreement_block(prefixes, part[:, :pre])
             left = (agr[:, None, :] == np.arange(pre + 1)[:, None]).astype(np.float32)
             right = table
             if right is None:
@@ -276,13 +271,18 @@ def top_agreement_scan(words: np.ndarray, q: int, top: int):
     return best, best_idx
 
 
-def _scan_witness(words: np.ndarray, q: int, top: int, z_index: int):
-    n = words.shape[1]
-    z = tuple(lex_digits(q, n, z_index)[:, 0].tolist())
-    agr = agreement_block(np.array([z], dtype=np.int64), words)[0]
-    order = np.argsort(-agr, kind="stable")[:top]
-    chosen = sorted(int(i) for i in order)
-    return tuple(tuple(int(v) for v in words[i]) for i in chosen), z
+def _scan_witness(words: np.ndarray, q: int, top: int, z_index: int) -> np.ndarray:
+    """Sorted rows of the `top` codewords agreeing most with received word
+    z_index, ties to the lower row.
+
+    When z_index is the lexicographically first maximizer, their
+    smallest-symbol plurality word is z_index itself: that word maximizes
+    too, and it is coordinatewise no larger than z_index, which agrees with
+    a plurality symbol at every coordinate.
+    """
+    z = lex_digits(q, words.shape[1], z_index).T
+    agr = agreement_block(z, words)[0]
+    return np.sort(np.argsort(-agr, kind="stable")[:top])
 
 
 def _mass_by_subsets(words: np.ndarray, q: int, L: int) -> list[int]:
@@ -383,9 +383,8 @@ def plurality_mass(
                 f"budgets are {budgets.max_received_words} and {budgets.max_subsets}"
             )
         if scan_ok and (not subsets_ok or scan_cost <= subset_count):
-            value, z_idx = top_agreement_scan(words, q, L)
-            witness, z = _scan_witness(words, q, L, z_idx)
-            return MassResult(L, Fraction(value, L), True, False, mode, "scan", witness, z)
+            rows = _scan_witness(words, q, L, top_agreement_scan(words, q, L)[1])
+            return _mass_result(words, rows, q, True, mode, "scan")
         return _mass_result(words, _mass_by_subsets(words, q, L), q, True, mode, "subsets")
 
     if mode == "greedy":

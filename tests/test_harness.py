@@ -8,6 +8,7 @@ import pytest
 from listlab.bounds import ConstantsConfig
 from listlab.config import Budgets
 from listlab.errors import InfeasibleError
+from listlab.galois import field_new
 from listlab.harness import (
     SCALE_NOTE,
     _REGISTRY,
@@ -16,6 +17,8 @@ from listlab.harness import (
     invariant_suite,
     johnson_radius_from_distance,
 )
+from listlab.linear_code import full_rs_code, sample_code
+from listlab.seeds import child_seed
 
 DESK_CFG = ConstantsConfig(C0=0.002)
 
@@ -127,6 +130,20 @@ def test_beyond_johnson_rho_grid_and_k1():
     # constant codewords: all pairs at full distance, promise clamped
     assert row["distance"] == "1"
     assert row["johnson_clamped"]
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_beyond_johnson_reports_the_drawn_evaluation_points(k):
+    rep = experiment_beyond_johnson(q=7, k=k, n=4, l_cap=2, n_seeds=2, seed=3)
+    parent = full_rs_code(field_new(7), k)
+    for s, row in enumerate(rep.measurements["rows"]):
+        code = sample_code(parent, 4, seed=child_seed(3, s))
+        assert row["evaluation_points"] == code.provenance["columns"]
+        if k > 1:  # row 1 of the monomial generator holds the points themselves
+            assert row["evaluation_points"] == list(code.generator[1])
+    assert [r["evaluation_points"] for r in rep.measurements["rows"]] == [
+        [4, 4, 4, 1], [6, 3, 4, 1]
+    ]
 
 
 def test_invariant_suite_all_green():

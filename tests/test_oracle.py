@@ -7,7 +7,7 @@ lexicographically first word with more than 2 codewords in its ball is
 (0,0,0,1), and that ball is {(0,0,0,0),(0,2,4,1),(2,0,3,1),(3,4,0,1)}.
 """
 
-import itertools
+import dataclasses
 import json
 from fractions import Fraction
 from unittest import mock
@@ -36,7 +36,6 @@ from listlab.oracle import (
     decoding_radius_profile,
     is_avg_radius_list_decodable,
     is_list_decodable,
-    list_at,
 )
 from listlab.plurality import (
     agreement_block,
@@ -65,29 +64,6 @@ def test_query_validation():
         ListDecQuery(Fraction(1, 2), 1, "typical")
 
 
-def test_list_at_trivial_radii():
-    z = tuple(RS5.encode_all([(2, 3)])[0].tolist())
-    assert list_at(RS5, z, 0) == (z,)
-    whole = list_at(RS5, (0, 0, 0, 0), 1)
-    assert len(whole) == 25 and len(set(whole)) == 25
-
-
-def test_list_at_matches_distance_loop():
-    q = 5
-    all_words = {
-        tuple(w) for w in RS5.encode_all(list(itertools.product(range(q), repeat=2))).tolist()
-    }
-    rng = np.random.default_rng(42)
-    for _ in range(20):
-        z = tuple(int(x) for x in rng.integers(0, q, size=4))
-        rho = Fraction(int(rng.integers(0, 5)), 4)
-        got = set(list_at(RS5, z, rho))
-        want = {
-            c for c in all_words if sum(1 for u, v in zip(z, c) if u != v) <= rho * 4
-        }
-        assert got == want
-
-
 def test_standard_trivial_verdicts():
     for code in (RS5, LinearCode(field_new(2), [[1, 1, 0], [0, 1, 1]])):
         cert = is_list_decodable(code, ListDecQuery(0, 1))
@@ -111,7 +87,7 @@ def test_standard_rs_frozen_instance():
     # the largest radius-1/2 ball holds exactly 6 codewords
     assert is_list_decodable(RS5, ListDecQuery(Fraction(1, 2), 6)).verdict == DECODABLE
     assert is_list_decodable(RS5, ListDecQuery(Fraction(1, 2), 5)).verdict == VIOLATED
-    assert len(list_at(RS5, (0, 0, 1, 1), Fraction(1, 2))) == 6
+    assert (agreement_block(np.array([[0, 0, 1, 1]]), RS5.codeword_matrix()) >= 2).sum() == 6
 
 
 def test_avg_single_codeword_threshold():
@@ -474,3 +450,43 @@ def test_exhaustive_scans_pull_q_to_the_n_received_words(monkeypatch):
     pulled.clear()
     decoding_radius_profile(code, 3)
     assert sum(pulled) == 7**5
+
+
+@pytest.mark.parametrize(
+    "query, symbol",
+    [
+        (ListDecQuery(Fraction(1, 2), 2), 99),
+        (ListDecQuery(Fraction(1, 2), 2), -1),
+        (ListDecQuery(Fraction(4, 5), 1, AVERAGE_RADIUS), 99),
+        (ListDecQuery(Fraction(4, 5), 1, AVERAGE_RADIUS), -1),
+    ],
+)
+def test_out_of_range_witness_symbols_fail_verification(query, symbol):
+    check = is_list_decodable if query.mode == STANDARD else is_avg_radius_list_decodable
+    cert = check(RS5, query)
+    assert cert.verdict == VIOLATED and cert.verify()
+    bad = ((symbol, 0, 0, 0), *cert.witness_codewords[1:])
+    assert dataclasses.replace(cert, witness_codewords=bad).verify() is False
+    assert dataclasses.replace(cert, witness_received=(0, 0, 0, symbol)).verify() is False
+
+
+def test_violation_past_the_enumeration_budget_verifies_from_witnesses():
+    field = field_new(65536)
+    points = [0, 1, 2, 3]
+    code = rs_code(field, 2, points)
+    assert code.size > Budgets().max_codewords
+    z = (0, 0, 1, 1)
+
+    def line(i, j):
+        # the codeword of the line through (points[i], z[i]) and (points[j], z[j])
+        slope = field.mul(field.sub(z[j], z[i]), field.inv(field.sub(points[j], points[i])))
+        offset = field.sub(z[i], field.mul(slope, points[i]))
+        return tuple(field.add(offset, field.mul(slope, x)) for x in points)
+
+    witnesses = (line(0, 1), line(2, 3), line(0, 2))
+    assert witnesses[:2] == ((0, 0, 0, 0), (1, 1, 1, 1))
+    cert = Certificate(code, ListDecQuery(Fraction(1, 2), 2), VIOLATED, EXHAUSTIVE, z, witnesses)
+    with mock.patch.object(LinearCode, "iter_codeword_chunks", side_effect=AssertionError):
+        assert cert.verify()
+        forged = ((1, 0, 0, 0), *witnesses[1:])
+        assert not dataclasses.replace(cert, witness_codewords=forged).verify()

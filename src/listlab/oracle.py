@@ -24,9 +24,10 @@ from .config import Budgets
 from .linear_code import LinearCode, _is_int, code_from_json_dict
 from .plurality import (
     _agreement_tails,
-    _top_sums,
+    _TopSums,
     agreement,
     agreement_block,
+    iter_received_blocks,
     plurality_mass,
 )
 from .reports import Record, require_keys
@@ -108,17 +109,22 @@ class Certificate(Record):
             if getattr(self, name) not in values:
                 raise ValueError(f"{name} must be one of {values}, got {getattr(self, name)!r}")
 
-    def verify(self) -> bool:
-        """Re-check the verdict from the stored witness alone.
+    def verify(self, *, budgets: Budgets = Budgets()) -> bool:
+        """Re-check the verdict without trusting the search that reached it.
 
-        Violations are re-proved by direct recomputation: in standard mode,
-        more than `list_bound` distinct codewords each agreeing with the
+        Violations are re-proved from the stored witness alone: in standard
+        mode, more than `list_bound` distinct codewords each agreeing with the
         received word in at least the threshold count; in average-radius
         mode, an exact average-distance comparison. Decodable verdicts carry
-        no witness; for them this only checks structural consistency.
+        no witness. An exhaustive one is re-derived by a plain
+        `agreement_block` pass over every received word, charged to `budgets`
+        (InfeasibleError over budget). A bounded one claims only that its
+        sample held no violation, so for it this checks structure alone.
         """
         if self.verdict == DECODABLE:
-            return self.witness_received is None and self.witness_codewords is None
+            if self.witness_received is not None or self.witness_codewords is not None:
+                return False
+            return self.search == BOUNDED or _decodable_by_plain_scan(self.code, self.query, budgets)
         code, query = self.code, self.query
         n, q = code.n, code.field.q
         z = self.witness_received
@@ -141,6 +147,34 @@ class Certificate(Record):
 
     def as_dict(self) -> dict:
         return {"schema": 1, "kind": "list-decodability-certificate", **super().as_dict()}
+
+
+def _decodable_by_plain_scan(code: LinearCode, query: ListDecQuery, budgets: Budgets) -> bool:
+    """Whether no received word violates the query, from the (m, N) agreement
+    matrices of every block of received words.
+
+    Standard mode: no word has more than `list_bound` codewords at or above
+    the agreement threshold. Average-radius mode: no word's top-(L+1)
+    agreement sum exceeds (L+1) * n * (1 - rho), so no L+1 codewords sit at
+    average relative distance below rho from it; fewer than L+1 codewords
+    cannot.
+    """
+    n, size = code.n, query.list_bound + 1
+    budgets.check_scan(code, "decodable re-check")
+    words = code.codeword_matrix(budgets=budgets)
+    if query.mode == AVERAGE_RADIUS and len(words) < size:
+        return True
+    t = query.agreement_threshold(n)
+    most = math.floor(size * n * (1 - query.radius))
+    for _, block in iter_received_blocks(code.field.q, n, _received_chunk_rows(len(words))):
+        agr = agreement_block(block, words)
+        if query.mode == STANDARD:
+            bad = (agr >= t).sum(axis=1) > query.list_bound
+        else:
+            bad = np.partition(agr, len(words) - size, axis=1)[:, -size:].sum(axis=1) > most
+        if bad.any():
+            return False
+    return True
 
 
 def certificate_from_json_dict(doc: dict) -> Certificate:
@@ -306,9 +340,10 @@ def decoding_radius_profile(
     ks = np.arange(1, top + 1)
     best_tail = np.zeros(n, dtype=np.int64)
     best_topsum = np.zeros(top, dtype=np.int64)
+    top_sums = _TopSums(ks)
     for _, _, tails in _agreement_tails(words, q, range(1, n + 1)):
         best_tail = np.maximum(best_tail, tails.max(axis=0))
-        best_topsum = np.maximum(best_topsum, _top_sums(tails, ks).max(axis=1))
+        best_topsum = np.maximum(best_topsum, top_sums(tails).max(axis=1))
     # the largest k-th agreement over all words is #{a >= 1 : max tail_a >= k}
     best_kth = (best_tail[:, None] >= ks).sum(axis=0)
     rows = []

@@ -162,25 +162,32 @@ def agreement_block(received: np.ndarray, words: np.ndarray) -> np.ndarray:
     return acc
 
 
-# float32 sums of fewer than 2^24 ones are exact; one-hot and suffix tables
-# stay under _TABLE_CELLS entries, and a tail block spans about _BLOCK_ROWS words
-_F32_EXACT = 1 << 24
-_TABLE_CELLS = 1 << 20
+# float64 holds every integer up to 2^53 exactly, int64 every one below 2^63;
+# a tail block spans about _BLOCK_ROWS received words, and its prefix power
+# table about _BLOCK_ROWS cells
+_F64_EXACT = 1 << 53
+_I64_LIMIT = 1 << 63
 _BLOCK_ROWS = 1 << 13
 
 
-def _suffix_table(suffixes: np.ndarray, words: np.ndarray, shifts: int, levels) -> np.ndarray:
-    """((shift, codeword), (suffix, level)) table of [A_suf(s, c) >= levels[j] - i].
+def _part_size(n: int) -> int:
+    """Largest number m of codewords whose packed length-n histograms stay exact.
 
-    A one-hot prefix row, 1 at (i, c) when the prefix agrees with codeword c
-    in i coordinates, times this table counts the codewords c with
-    i + A_suf(s, c) >= levels[j]: one product gives the tail counts of every
-    received word (prefix, s) at every requested level. The table is one
-    lookup, per (codeword, suffix) agreement a, of the rows [a >= levels - i].
+    With b = m.bit_length(), so 2^b > m, a histogram of m codewords in base
+    2^b is a sum of m powers 2^(b*a), a <= n. It is an exact float64 integer
+    when m * 2^(b*n) <= 2^53, and its read-off intermediate 2^b * H stays an
+    int64 when m * 2^(b*(n+1)) < 2^63. Both bounds grow with m, so every
+    smaller m meets them too.
     """
-    need = np.asarray(levels) - np.arange(shifts)[:, None]
-    rows = (np.arange(words.shape[1] + 1)[:, None] >= need[:, None, :]).astype(np.float32)
-    return np.take(rows, agreement_block(words, suffixes), axis=1).reshape(shifts * len(words), -1)
+    best = 0
+    for b in range(1, 64):
+        cap = min((1 << b) - 1, _F64_EXACT >> (b * n), (_I64_LIMIT - 1) >> (b * (n + 1)))
+        if cap < 1 << (b - 1):
+            break
+        best = cap
+    if best < 1:
+        raise InfeasibleError(f"no exact packed histogram at length {n}")
+    return best
 
 
 def _agreement_tails(words: np.ndarray, q: int, levels):
@@ -188,49 +195,81 @@ def _agreement_tails(words: np.ndarray, q: int, levels):
     order; tails[i, j] counts the rows of `words` agreeing with block[i] in at
     least levels[j] coordinates.
 
-    Agreement splits into a prefix part (the first ceil(n/2) coordinates)
-    and a suffix part, so for a block of whole prefixes the tails are one
-    product of a one-hot prefix table and a suffix threshold table; no
-    (m, N) agreement matrix is built. The codeword axis is cut into parts of
-    fewer than 2^24 rows, so every float32 sum is exact, and small enough to
-    bound the tables; the parts' tails add in int64.
+    A word (p, s) agrees with codeword c in A_pre(p, c) + A_suf(s, c) places,
+    prefix p its first ceil(n/2) coordinates and suffix s the rest. So
+    H = sum_c 2^(b*A_pre) * 2^(b*A_suf), one float64 product of a (prefix,
+    codeword) and a (codeword, suffix) power table, is the word's agreement
+    histogram in base 2^b, and G = (2^b*H - m)/(2^b - 1) has the tail counts
+    as digits: digit a is the number of the m codewords agreeing in >= a
+    places. Each level is one shift and one mask of G. The codewords are cut
+    into equal parts of at most _part_size(n), so every sum is exact; each
+    part's suffix table is built once per scan and the parts' tails add.
+
+    `tails` is one column-major buffer reused for every block: it is valid
+    until the next block is drawn.
     """
     n_words, n = words.shape
     pre = n - n // 2
     n_suf = q ** (n // 2)
     suffixes = lex_digits(q, n // 2, np.arange(n_suf)).T
-    step = max(1, min(n_words, _F32_EXACT - 1, _TABLE_CELLS // ((pre + 1) * n_suf * len(levels))))
-    # one part: build its suffix table once; more: rebuild per block to bound memory
-    table = _suffix_table(suffixes, words[:, pre:], pre + 1, levels) if step == n_words else None
-    n_pre = max(1, min(_BLOCK_ROWS // n_suf, _TABLE_CELLS // ((pre + 1) * step)))
+    n_parts = -(-n_words // _part_size(n))
+    m = -(-n_words // n_parts)
+    b = m.bit_length()
+    digit = (1 << b) - 1
+    # each part's (codeword, suffix) table carries one more factor 2^b, so
+    # its product with the (prefix, codeword) table is 2^b * H
+    parts = [(lo, np.ldexp(1.0, b * (agreement_block(words[lo : lo + m, pre:], suffixes) + 1)))
+             for lo in range(0, n_words, m)]
+    shifts = b * np.asarray(levels, dtype=np.int64)
+    n_pre = min(q**pre, max(1, _BLOCK_ROWS // max(n_suf, n_words)))
+    hist = np.empty((n_pre, n_suf))
+    packed = np.empty(n_pre * n_suf, dtype=np.int64)
+    tails_buf = np.empty((n_pre * n_suf, len(shifts)), dtype=np.int64, order="F")
+    digits_buf = np.empty_like(tails_buf) if n_parts > 1 else None
     for start, block in iter_received_blocks(q, n, n_pre * n_suf):
         prefixes = block[::n_suf, :pre]
-        tails = 0
-        for lo in range(0, n_words, step):
-            part = words[lo : lo + step]
-            agr = agreement_block(prefixes, part[:, :pre])
-            left = (agr[:, None, :] == np.arange(pre + 1)[:, None]).astype(np.float32)
-            right = table
-            if right is None:
-                right = _suffix_table(suffixes, part[:, pre:], pre + 1, levels)
-            tails = tails + (left.reshape(len(prefixes), -1) @ right).astype(np.int64)
-        # column-major: each level's tail counts are contiguous for the reducers
-        yield start, block, np.asfortranarray(tails.reshape(-1, len(levels)))
+        rows = len(block)
+        h, g, tails = hist[: len(prefixes)], packed[:rows], tails_buf[:rows]
+        left = np.ldexp(1.0, b * agreement_block(prefixes, words[:, :pre]))
+        for lo, right in parts:
+            np.matmul(left[:, lo : lo + len(right)], right, out=h)
+            np.copyto(g, h.reshape(-1), casting="unsafe")
+            g -= len(right)
+            g //= digit  # G, exactly: 2^b * H - m is a multiple of 2^b - 1
+            out = tails if lo == 0 else digits_buf[:rows]
+            np.right_shift(g[:, None], shifts, out=out)
+            out &= digit
+            if lo:
+                tails += out
+        yield start, block, tails
 
 
-def _top_sums(tails: np.ndarray, ks) -> np.ndarray:
-    """(len(ks), m) top-k agreement sums of the words of one tail block.
+class _TopSums:
+    """Top-k agreement sums of tail blocks, for fixed ks, into buffers that are
+    allocated by the first block and reused by the next ones.
 
     With tails[:, a - 1] the number of rows agreeing in >= a coordinates
     (levels 1..n), the k-th largest agreement of a word is
     #{a >= 1 : tail_a >= k}, and its top-k sum is the sum over a >= 1 of
     min(tail_a, k).
     """
-    ks = np.asarray(ks)[:, None]
-    sums = np.zeros((len(ks), len(tails)), dtype=np.int64)
-    for tail in tails.T:
-        sums += np.minimum(tail, ks)
-    return sums
+
+    def __init__(self, ks):
+        self.ks = np.asarray(ks, dtype=np.int64)[:, None]
+        self.sums = self.scratch = np.empty((len(self.ks), 0), dtype=np.int64)
+
+    def __call__(self, tails: np.ndarray) -> np.ndarray:
+        """(len(ks), m) top-k sums of the m words of one tail block, valid
+        until the next call."""
+        m = len(tails)
+        if self.sums.shape[1] < m:
+            self.sums, self.scratch = np.empty((2, len(self.ks), m), dtype=np.int64)
+        sums, scratch = self.sums[:, :m], self.scratch[:, :m]
+        np.minimum(tails[:, 0], self.ks, out=sums)
+        for tail in tails.T[1:]:
+            np.minimum(tail, self.ks, out=scratch)
+            sums += scratch
+        return sums
 
 
 # -- plurality mass (max over codeword sets) ---------------------------------
@@ -262,8 +301,9 @@ def top_agreement_scan(words: np.ndarray, q: int, top: int):
     """
     best = -1
     best_idx = 0
+    top_sums = _TopSums((top,))
     for start, _, tails in _agreement_tails(words, q, range(1, words.shape[1] + 1)):
-        sums = _top_sums(tails, (top,))[0]
+        sums = top_sums(tails)[0]
         pos = int(sums.argmax())
         if int(sums[pos]) > best:
             best = int(sums[pos])

@@ -21,7 +21,7 @@ import listlab.plurality as plurality
 from listlab.config import Budgets
 from listlab.errors import InfeasibleError
 from listlab.galois import field_new
-from listlab.linear_code import LinearCode, rs_code
+from listlab.linear_code import LinearCode, hadamard_code, rs_code, sample_code
 from listlab.oracle import (
     AVERAGE_RADIUS,
     BOUNDED,
@@ -377,9 +377,13 @@ def _reference_check(code, query):
 
 @given(small_codes(), st.integers(1, 5), st.booleans(), st.data())
 @settings(max_examples=120, deadline=None)
-def test_exhaustive_scans_match_brute_force(code, max_list_size, tiny_tables, data):
-    if tiny_tables:  # one prefix per block and one codeword per table
-        with mock.patch.object(plurality, "_TABLE_CELLS", 1):
+def test_exhaustive_scans_match_brute_force(code, max_list_size, tiny_parts, data):
+    if tiny_parts:  # one codeword per part and one prefix per block
+        with (
+            mock.patch.object(plurality, "_F64_EXACT", 1 << code.n),
+            mock.patch.object(plurality, "_BLOCK_ROWS", 1),
+        ):
+            assert plurality._part_size(code.n) == 1
             _check_scans(code, max_list_size, data)
     else:
         _check_scans(code, max_list_size, data)
@@ -404,16 +408,13 @@ def _check_scans(code, max_list_size, data):
     assert top_agreement_scan(words, code.field.q, top) == (int(sums.max()), int(sums.argmax()))
 
 
-def test_exhaustive_scans_over_several_codeword_parts(monkeypatch):
-    # RS over GF(5), n = 5, with 400-cell tables: the check splits its 25
-    # codewords into 7 parts over 5 blocks, the profile and the top scan into
-    # 25 parts over 2 blocks, and every block rebuilds its suffix tables
-    monkeypatch.setattr(plurality, "_TABLE_CELLS", 400)
-    code = rs_code(field_new(5), 2, [0, 1, 2, 3, 4])
+def _check_scans_at_thresholds(code, max_list_size):
+    """Checks at agreement thresholds 0, 3 and n with list bounds 0..2 and
+    N - 1, the profile and top scans at 1, 3 and N, each against brute force."""
     n = code.n
     verdicts = set()
     for t in (0, 3, n):
-        for bound in (0, 1, 2):
+        for bound in (0, 1, 2, code.size - 1):
             query = ListDecQuery(Fraction(n - t, n), bound)
             assert query.agreement_threshold(n) == t
             cert = is_list_decodable(code, query)
@@ -421,15 +422,48 @@ def test_exhaustive_scans_over_several_codeword_parts(monkeypatch):
             assert (cert.verdict, cert.witness_received, cert.witness_codewords) == expected
             verdicts.add(cert.verdict)
     assert verdicts == {DECODABLE, VIOLATED}
-    rows = decoding_radius_profile(code, 4)
+    rows = decoding_radius_profile(code, max_list_size)
     assert [(r.list_size, r.standard_radius, r.average_radius) for r in rows] == (
-        _reference_profile(code, 4)
+        _reference_profile(code, max_list_size)
     )
     words, _, agr = _reference_agreements(code)
     ordered = -np.sort(-agr, axis=1)
     for top in (1, 3, len(words)):
         sums = ordered[:, :top].sum(axis=1)
-        assert top_agreement_scan(words, 5, top) == (int(sums.max()), int(sums.argmax()))
+        assert top_agreement_scan(words, code.field.q, top) == (int(sums.max()), int(sums.argmax()))
+
+
+def test_exhaustive_scans_over_several_codeword_parts(monkeypatch):
+    # RS over GF(5), n = 5, with the float64 limit lowered to 7 * 2^15: its 25
+    # codewords split into parts of 7, 7, 7 and 4, and 40-prefix blocks cut
+    # the 125 prefixes into 40, 40, 40 and 5
+    monkeypatch.setattr(plurality, "_F64_EXACT", 7 << 15)
+    monkeypatch.setattr(plurality, "_BLOCK_ROWS", 40 * 25)
+    assert plurality._part_size(5) == 7
+    _check_scans_at_thresholds(rs_code(field_new(5), 2, [0, 1, 2, 3, 4]), 4)
+
+
+def _packed_exact(m, n):
+    """The part-size rule: with b = m.bit_length(), a packed histogram of m
+    codewords is an exact float64 sum and its read-off fits int64."""
+    b = m.bit_length()
+    return m * 2 ** (b * n) <= 2**53 and m * 2 ** (b * (n + 1)) < 2**63
+
+
+def test_part_size_is_the_largest_exact_one():
+    for n in range(1, 41):
+        m = plurality._part_size(n)
+        assert _packed_exact(m, n) and not _packed_exact(m + 1, n), n
+        assert all(_packed_exact(k, n) for k in range(1, min(m, 300))), n
+    assert [plurality._part_size(n) for n in (1, 5, 6, 7, 12)] == [(1 << 21) - 1, 256, 127, 63, 15]
+
+
+def test_exhaustive_scans_of_a_code_that_needs_several_parts():
+    # a sampled Hadamard code over GF(2), k = 4, n = 12: its 16 codewords are
+    # past the part size 15 at n = 12, so they scan as two parts of 8
+    code = sample_code(hadamard_code(field_new(2), 4), 12, seed=5)
+    assert code.size == 16 and plurality._part_size(code.n) == 15
+    _check_scans_at_thresholds(code, 5)
 
 
 def test_exhaustive_scans_pull_q_to_the_n_received_words(monkeypatch):
@@ -449,6 +483,9 @@ def test_exhaustive_scans_pull_q_to_the_n_received_words(monkeypatch):
     assert sum(pulled) == 7**5
     pulled.clear()
     decoding_radius_profile(code, 3)
+    assert sum(pulled) == 7**5
+    pulled.clear()
+    assert plurality_mass(code, 5, "exact").route == "scan"  # C(49, 5) > 7^5 * 49
     assert sum(pulled) == 7**5
 
 
@@ -490,3 +527,56 @@ def test_violation_past_the_enumeration_budget_verifies_from_witnesses():
         assert cert.verify()
         forged = ((1, 0, 0, 0), *witnesses[1:])
         assert not dataclasses.replace(cert, witness_codewords=forged).verify()
+
+
+@pytest.mark.parametrize(
+    "query",
+    [ListDecQuery(Fraction(1, 2), 2), ListDecQuery(Fraction(4, 5), 1, AVERAGE_RADIUS)],
+)
+def test_forged_decodable_certificate_fails_verification(query):
+    # a violated certificate edited to decodable, with its witnesses nulled
+    check = is_list_decodable if query.mode == STANDARD else is_avg_radius_list_decodable
+    doc = check(RS5, query).as_dict()
+    assert doc["verdict"] == VIOLATED
+    doc.update(verdict=DECODABLE, witness_received=None, witness_codewords=None)
+    forged = certificate_from_json(json.dumps(doc))
+    with mock.patch.object(plurality, "_agreement_tails", side_effect=AssertionError):
+        assert forged.verify() is False
+    # a bounded decodable verdict only claims its sample held no violation:
+    # nothing to recompute, so it passes on structure alone
+    assert dataclasses.replace(forged, search=BOUNDED).verify()
+
+
+def test_decodable_certificates_reverify_by_a_plain_scan():
+    rng = np.random.default_rng(7)
+    checked = {STANDARD: 0, AVERAGE_RADIUS: 0}
+    tightened = set()
+    for _ in range(40):
+        q = int(rng.choice([2, 3, 4, 5]))
+        n = int(rng.integers(1, 5))
+        code = LinearCode(field_new(q), rng.integers(0, q, size=(2, n)).tolist())
+        radius = Fraction(int(rng.integers(0, n + 1)), n)
+        for mode, check in ((STANDARD, is_list_decodable),
+                            (AVERAGE_RADIUS, is_avg_radius_list_decodable)):
+            cert = check(code, ListDecQuery(radius, int(rng.integers(0, 3)), mode))
+            assert cert.verify()
+            if cert.verdict == DECODABLE:
+                checked[mode] += 1
+                # the next list bound down is decodable exactly when the oracle says so
+                if cert.query.list_bound:
+                    tighter = dataclasses.replace(
+                        cert.query, list_bound=cert.query.list_bound - 1
+                    )
+                    truth = check(code, tighter).verdict == DECODABLE
+                    assert dataclasses.replace(cert, query=tighter).verify() is truth
+                    tightened.add((mode, truth))
+    assert min(checked.values()) >= 10 and len(tightened) == 4
+
+
+def test_decodable_reverification_is_charged_to_the_scan_budget():
+    cert = is_list_decodable(RS5, ListDecQuery(0, 1))
+    assert cert.verdict == DECODABLE and cert.search == EXHAUSTIVE
+    cost = Budgets().scan_cost(RS5)
+    assert cert.verify(budgets=Budgets(max_received_words=cost))
+    with pytest.raises(InfeasibleError):
+        cert.verify(budgets=Budgets(max_received_words=cost - 1))

@@ -42,6 +42,8 @@ from .seeds import rng_for
 DEFAULT_RETRY_LIMIT = 200
 # draws of the sampled plurality mass that stands in for an infeasible exact Q
 SUPREMUM_MASS_TRIALS = 2000
+# concentration_check enumerates all 2^L subsets of sets of at most this size
+CONCENTRATION_EXACT_LIMIT = 12
 
 
 # -- chain parameters -----------------------------------------------------------
@@ -429,17 +431,16 @@ def concentration_check(
     trials: int = 2000,
     seed: int = 0,
     cfg: ConstantsConfig | None = None,
-    exact_limit: int = 12,
 ) -> ConcentrationReport:
     """Check the two half-subset concentration moments per coordinate.
 
     For a fair-coin subset S of the codeword set, this bounds
     E[|S| * |pl_j - pl_j(S)|] by sqrt(C5 * L * log2(L) * pl_j) and
     E[|S|^2 (pl_j - pl_j(S))^2] by C5 * L * log2(L) * pl_j. Sets of at most
-    `exact_limit` codewords are enumerated exactly (all 2^L subsets, exact
-    rational moments); larger sets are sampled. The empty subset contributes
-    zero through its |S| weight. The report carries the smallest C5 that
-    makes both inequalities hold as observed.
+    CONCENTRATION_EXACT_LIMIT codewords are enumerated exactly (all 2^L
+    subsets, exact rational moments); larger sets are sampled. The empty
+    subset contributes zero through its |S| weight. The report carries the
+    smallest C5 that makes both inequalities hold as observed.
     """
     cfg = cfg or ConstantsConfig()
     L = len(lam)
@@ -452,7 +453,7 @@ def concentration_check(
     log_l = math.log2(L)
     pl_exact = tuple(Fraction(int(c), L) for c in counts_full)
 
-    if L <= exact_limit:
+    if L <= CONCENTRATION_EXACT_LIMIT:
         mode = "exact"
         total = 1 << L
         # member[bits, i] is bit i of bits; the empty subset's row contributes zero

@@ -388,6 +388,8 @@ def _run(args, cfg: RunConfig) -> tuple[dict, list[list] | None, int]:
                 n_candidates=args.candidates,
             )
             return {"symmetrization": rep.as_dict()}, None, 0
+        if args.action == "mc" and args.check == "supremum" and args.messages:
+            raise ValueError("--check supremum draws its own message sets: use --list-size")
         code = _load_code(code_arg)
         lam = _resolve_messages(args, code)
         if args.action == "build":
@@ -476,20 +478,20 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = load_config(args.config) if args.config else RunConfig()
         results, rows, exit_code = _run(args, cfg)
+        params = {
+            k: v
+            for k, v in sorted(vars(args).items())
+            if k not in ("group", "action", "out", "format", "config") and v is not None
+        }
+        params["config"] = cfg.as_dict()
+        report = build_report(
+            command, params, results, meta={"wall_time_s": time.perf_counter() - start}
+        )
+        # a NaN or infinity in the report is a ValueError here, not a non-JSON token
+        text = render_csv(header, rows) if args.format == "csv" else render_json(report)
     except (InfeasibleError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    params = {
-        k: v
-        for k, v in sorted(vars(args).items())
-        if k not in ("group", "action", "out", "format", "config") and v is not None
-    }
-    params["config"] = cfg.as_dict()
-    report = build_report(
-        command, params, results, meta={"wall_time_s": time.perf_counter() - start}
-    )
-    text = render_csv(header, rows) if args.format == "csv" else render_json(report)
     try:
         emit(text, args.out)
     except OSError as exc:

@@ -152,12 +152,6 @@ class Field:
         exp_np[q - 1 :] = exp
         log = np.zeros(q, dtype=np.int64)
         log[exp] = np.arange(q - 1)
-        # Scalar mul reads Python lists. They come last, once the numpy
-        # temporaries are freed, and share one int object per element.
-        del high
-        ints = np.arange(q).astype(object)
-        self._exp = ints[exp].tolist() * 2
-        self._log = ints[log].tolist()
         self._exp_np = exp_np
         self._log_np = log
 
@@ -186,7 +180,7 @@ class Field:
             return (a * b) % self.q
         if a == 0 or b == 0:
             return 0
-        return self._exp[self._log[a] + self._log[b]]
+        return self._exp_np.item(self._log_np.item(a) + self._log_np.item(b))
 
     def inv(self, a: int) -> int:
         self._check(a)
@@ -194,7 +188,7 @@ class Field:
             raise ZeroDivisionError("0 has no multiplicative inverse")
         if self.kind == "prime":
             return pow(a, self.q - 2, self.q)
-        return self._exp[self.q - 1 - self._log[a]]
+        return self._exp_np.item(self.q - 1 - self._log_np.item(a))
 
     def pow(self, a: int, e: int) -> int:
         self._check(a)
@@ -204,7 +198,7 @@ class Field:
             return 1 if e == 0 else 0
         if self.kind == "prime":
             return pow(a, e, self.q)
-        return self._exp[(self._log[a] * e) % (self.q - 1)]
+        return self._exp_np.item(self._log_np.item(a) * e % (self.q - 1))
 
     # -- vectorized helpers (trusted internal paths, no per-op checks) ---
 

@@ -245,8 +245,10 @@ def rs_code(field: Field, k: int, evals) -> LinearCode:
     if not points:
         raise ValueError("need at least one evaluation point")
     field._check(*points)
-    gen = [[field.pow(a, i) for a in points] for i in range(k)]
-    return LinearCode(field, gen, provenance={"kind": "rs", "k": k, "evals": points})
+    gen = np.ones((k, len(points)), dtype=np.int64)
+    for i in range(1, k):  # row i holds a^i at each point a
+        gen[i] = field.scale_array(np.array(points), gen[i - 1])
+    return LinearCode(field, gen.tolist(), provenance={"kind": "rs", "k": k, "evals": points})
 
 
 def full_rs_code(field: Field, k: int) -> LinearCode:

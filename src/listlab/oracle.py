@@ -21,10 +21,10 @@ from fractions import Fraction
 import numpy as np
 
 from .config import Budgets
-from .linear_code import LinearCode, _is_int, code_from_json_dict
+from .linear_code import LinearCode, _is_int, code_from_json_dict, lex_digits
 from .plurality import (
     _agreement_tails,
-    _TopSums,
+    _top_sum_maxima,
     agreement,
     agreement_block,
     iter_received_blocks,
@@ -150,31 +150,46 @@ class Certificate(Record):
 
 
 def _decodable_by_plain_scan(code: LinearCode, query: ListDecQuery, budgets: Budgets) -> bool:
-    """Whether no received word violates the query, from the (m, N) agreement
-    matrices of every block of received words.
-
-    Standard mode: no word has more than `list_bound` codewords at or above
-    the agreement threshold. Average-radius mode: no word's top-(L+1)
-    agreement sum exceeds (L+1) * n * (1 - rho), so no L+1 codewords sit at
-    average relative distance below rho from it; fewer than L+1 codewords
-    cannot.
-    """
-    n, size = code.n, query.list_bound + 1
+    """Whether no received word violates the query, by the plain violation loop
+    over every block of received words."""
     budgets.check_scan(code, "decodable re-check")
     words = code.codeword_matrix(budgets=budgets)
-    if query.mode == AVERAGE_RADIUS and len(words) < size:
+    if query.mode == AVERAGE_RADIUS and len(words) <= query.list_bound:
         return True
+    blocks = iter_received_blocks(code.field.q, code.n, _received_chunk_rows(len(words)))
+    return _first_violation((block for _, block in blocks), words, query) is None
+
+
+def _first_violation(blocks, words: np.ndarray, query: ListDecQuery):
+    """(word, its agreements with the rows of `words`) for the first word of the
+    blocks that violates the query, or None, from each block's agreement matrix.
+
+    Standard mode: more than `list_bound` rows agree in at least the threshold
+    count. Average-radius mode: the top-(L+1) agreement sum exceeds
+    (L+1) * n * (1 - rho), so L+1 rows (`words` must have them) sit at average
+    relative distance below rho.
+    """
+    n, size = words.shape[1], query.list_bound + 1
     t = query.agreement_threshold(n)
     most = math.floor(size * n * (1 - query.radius))
-    for _, block in iter_received_blocks(code.field.q, n, _received_chunk_rows(len(words))):
+    for block in blocks:
         agr = agreement_block(block, words)
         if query.mode == STANDARD:
             bad = (agr >= t).sum(axis=1) > query.list_bound
         else:
             bad = np.partition(agr, len(words) - size, axis=1)[:, -size:].sum(axis=1) > most
-        if bad.any():
-            return False
-    return True
+        hit = np.flatnonzero(bad)
+        if hit.size:
+            return block[hit[0]], agr[hit[0]]
+    return None
+
+
+def _violated(code, query, words, search: str, z, agr) -> Certificate:
+    """Standard-mode violation at word z, witnessed by its first list_bound + 1
+    rows of `words` at or above the agreement threshold."""
+    inside = np.flatnonzero(agr >= query.agreement_threshold(code.n))[: query.list_bound + 1]
+    lam = tuple(tuple(int(v) for v in words[i]) for i in inside)
+    return Certificate(code, query, VIOLATED, search, tuple(int(v) for v in z), lam)
 
 
 def certificate_from_json_dict(doc: dict) -> Certificate:
@@ -237,39 +252,26 @@ def is_list_decodable(
     if sample_received is None:
         budgets.check_scan(code, "exhaustive scan")
     words = code.codeword_matrix(budgets=budgets)
-    t = query.agreement_threshold(n)
-    bound = query.list_bound
-
-    def violation(z: np.ndarray, agr: np.ndarray):
-        inside = np.nonzero(agr >= t)[0][: bound + 1]
-        return (
-            tuple(int(v) for v in z),
-            tuple(tuple(int(v) for v in words[i]) for i in inside),
-        )
 
     if sample_received is None:
-        for _, block, tails in _agreement_tails(words, q, [t]):
-            bad = np.nonzero(tails[:, 0] > bound)[0]
-            if bad.size:
-                z = block[int(bad[0])]
-                hit = violation(z, agreement_block(z[None, :], words)[0])
-                return Certificate(code, query, VIOLATED, EXHAUSTIVE, hit[0], hit[1])
+        for start, tails in _agreement_tails(words, q, [query.agreement_threshold(n)]):
+            bad = np.flatnonzero(tails[:, 0] > query.list_bound)
+            if bad.size:  # the plain loop re-finds the first bad word and its agreements
+                hit = _first_violation([lex_digits(q, n, start + bad[:1]).T], words, query)
+                return _violated(code, query, words, EXHAUSTIVE, *hit)
         return Certificate(code, query, DECODABLE, EXHAUSTIVE)
 
     if sample_received < 1:
         raise ValueError("sample_received must be >= 1 when given")
     rng = rng_for(seed)
-    remaining = sample_received
     chunk = _received_chunk_rows(len(words))
-    while remaining > 0:
-        take = min(chunk, remaining)
-        block = rng.integers(0, q, size=(take, n), dtype=np.int64)
-        agr = agreement_block(block, words)
-        bad = np.nonzero((agr >= t).sum(axis=1) > bound)[0]
-        if bad.size:
-            hit = violation(block[int(bad[0])], agr[int(bad[0])])
-            return Certificate(code, query, VIOLATED, BOUNDED, hit[0], hit[1])
-        remaining -= take
+    blocks = (
+        rng.integers(0, q, size=(min(chunk, sample_received - lo), n), dtype=np.int64)
+        for lo in range(0, sample_received, chunk)
+    )
+    hit = _first_violation(blocks, words, query)
+    if hit is not None:
+        return _violated(code, query, words, BOUNDED, *hit)
     return Certificate(code, query, DECODABLE, BOUNDED)
 
 
@@ -336,14 +338,8 @@ def decoding_radius_profile(
     budgets.check_scan(code, "profile scan")
     words = code.codeword_matrix(budgets=budgets)
     n_words = len(words)
-    top = min(max_list_size + 1, n_words)
-    ks = np.arange(1, top + 1)
-    best_tail = np.zeros(n, dtype=np.int64)
-    best_topsum = np.zeros(top, dtype=np.int64)
-    top_sums = _TopSums(ks)
-    for _, _, tails in _agreement_tails(words, q, range(1, n + 1)):
-        best_tail = np.maximum(best_tail, tails.max(axis=0))
-        best_topsum = np.maximum(best_topsum, top_sums(tails).max(axis=1))
+    ks = np.arange(1, min(max_list_size + 1, n_words) + 1)
+    best_topsum, _, best_tail = _top_sum_maxima(words, q, ks)
     # the largest k-th agreement over all words is #{a >= 1 : max tail_a >= k}
     best_kth = (best_tail[:, None] >= ks).sum(axis=0)
     rows = []

@@ -191,9 +191,9 @@ def _part_size(n: int) -> int:
 
 
 def _agreement_tails(words: np.ndarray, q: int, levels):
-    """Yield (start, block, tails) over all q^n received words in lexicographic
-    order; tails[i, j] counts the rows of `words` agreeing with block[i] in at
-    least levels[j] coordinates.
+    """Yield (start, tails) over all q^n received words in lexicographic order;
+    tails[i, j] counts the rows of `words` agreeing with received word
+    start + i in at least levels[j] coordinates.
 
     A word (p, s) agrees with codeword c in A_pre(p, c) + A_suf(s, c) places,
     prefix p its first ceil(n/2) coordinates and suffix s the rest. So
@@ -241,35 +241,40 @@ def _agreement_tails(words: np.ndarray, q: int, levels):
             out &= digit
             if lo:
                 tails += out
-        yield start, block, tails
+        yield start, tails
 
 
-class _TopSums:
-    """Top-k agreement sums of tail blocks, for fixed ks, into buffers that are
-    allocated by the first block and reused by the next ones.
+def _top_sum_maxima(words: np.ndarray, q: int, ks):
+    """Per k in ks, the largest top-k agreement sum over all q^n received words
+    and the first word (lexicographic index) attaining it; per level a = 1..n,
+    the largest number of rows agreeing with one word in >= a coordinates.
 
-    With tails[:, a - 1] the number of rows agreeing in >= a coordinates
-    (levels 1..n), the k-th largest agreement of a word is
-    #{a >= 1 : tail_a >= k}, and its top-k sum is the sum over a >= 1 of
-    min(tail_a, k).
+    With tail_a that number for one word, its k-th largest agreement is
+    #{a >= 1 : tail_a >= k} and its top-k sum is the sum over a of
+    min(tail_a, k). The sum buffers are allocated by the first block, the
+    largest, and reused by the next ones.
     """
-
-    def __init__(self, ks):
-        self.ks = np.asarray(ks, dtype=np.int64)[:, None]
-        self.sums = self.scratch = np.empty((len(self.ks), 0), dtype=np.int64)
-
-    def __call__(self, tails: np.ndarray) -> np.ndarray:
-        """(len(ks), m) top-k sums of the m words of one tail block, valid
-        until the next call."""
-        m = len(tails)
-        if self.sums.shape[1] < m:
-            self.sums, self.scratch = np.empty((2, len(self.ks), m), dtype=np.int64)
-        sums, scratch = self.sums[:, :m], self.scratch[:, :m]
-        np.minimum(tails[:, 0], self.ks, out=sums)
+    ks = np.asarray(ks, dtype=np.int64)[:, None]
+    rows = np.arange(len(ks))
+    best_sum = np.full(len(ks), -1, dtype=np.int64)
+    best_idx = np.zeros(len(ks), dtype=np.int64)
+    best_tail = np.zeros(words.shape[1], dtype=np.int64)
+    sums = scratch = None
+    for start, tails in _agreement_tails(words, q, range(1, words.shape[1] + 1)):
+        if sums is None:
+            sums, scratch = np.empty((2, len(ks), len(tails)), dtype=np.int64)
+        s, t = sums[:, : len(tails)], scratch[:, : len(tails)]
+        np.minimum(tails[:, 0], ks, out=s)
         for tail in tails.T[1:]:
-            np.minimum(tail, self.ks, out=scratch)
-            sums += scratch
-        return sums
+            np.minimum(tail, ks, out=t)
+            s += t
+        pos = s.argmax(axis=1)  # each k's first maximum in the block
+        top = s[rows, pos]
+        better = top > best_sum
+        best_sum[better] = top[better]
+        best_idx[better] = start + pos[better]
+        np.maximum(best_tail, tails.max(axis=0), out=best_tail)
+    return best_sum, best_idx, best_tail
 
 
 # -- plurality mass (max over codeword sets) ---------------------------------
@@ -299,16 +304,8 @@ def top_agreement_scan(words: np.ndarray, q: int, top: int):
     attaining the maximum in lexicographic order. The top-`top` sum of each
     word is read off its tail counts at levels 1..n.
     """
-    best = -1
-    best_idx = 0
-    top_sums = _TopSums((top,))
-    for start, _, tails in _agreement_tails(words, q, range(1, words.shape[1] + 1)):
-        sums = top_sums(tails)[0]
-        pos = int(sums.argmax())
-        if int(sums[pos]) > best:
-            best = int(sums[pos])
-            best_idx = start + pos
-    return best, best_idx
+    best, best_idx, _ = _top_sum_maxima(words, q, [top])
+    return int(best[0]), int(best_idx[0])
 
 
 def _scan_witness(words: np.ndarray, q: int, top: int, z_index: int) -> np.ndarray:

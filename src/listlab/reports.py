@@ -97,13 +97,14 @@ def build_report(command: str, params: dict, results: dict, meta: dict | None = 
 
 
 def canonical_bytes(report: dict) -> bytes:
-    """The hashed region: the report without its meta block, key-sorted."""
+    """The hashed region: the report without its meta block, key-sorted. A NaN
+    or infinity, which JSON cannot carry, is a ValueError."""
     trimmed = {k: v for k, v in report.items() if k != "meta"}
-    return json.dumps(trimmed, sort_keys=True, separators=(",", ":")).encode()
+    return json.dumps(trimmed, sort_keys=True, separators=(",", ":"), allow_nan=False).encode()
 
 
 def render_json(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    return json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def render_csv(header: list[str], rows: list[list]) -> str:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from listlab import cli
 from listlab.cli import main
 from listlab.oracle import certificate_from_json_dict
 from listlab.reports import REPO_CSV_COLUMNS, canonical_bytes
@@ -494,6 +495,23 @@ def test_counts_below_one_are_usage_errors(rs_path, argv, name):
     err = _usage_error([*argv, "--code", rs_path])
     assert err.startswith("error: ") and err.count("\n") == 1
     assert name in err
+
+
+@pytest.mark.parametrize("size", [[], ["--list-size", "2"]])
+def test_supremum_check_refuses_a_message_set(rs_path, size):
+    # the supremum experiment draws its own candidate sets of the list size
+    err = _usage_error([
+        "chain", "mc", "--check", "supremum", "--code", rs_path, "--messages", "0,1;1,2",
+        *size, "--trials", "20",
+    ])
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "--list-size" in err
+
+
+def test_non_finite_result_is_a_usage_error(monkeypatch):
+    monkeypatch.setattr(cli, "_run", lambda args, cfg: ({"value": float("nan")}, None, 0))
+    err = _usage_error(["field", "--q", "5"])
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_candidate_sets_past_int64_message_indices_are_usage_errors():

@@ -74,6 +74,20 @@ def test_report_envelope_and_canonical_bytes():
     assert json.loads(render_json(rep)) == rep
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_report_values_are_refused(value):
+    rep = build_report("demo", {"q": 5}, {"rows": [{"value": value}]})
+    with pytest.raises(ValueError):
+        canonical_bytes(rep)
+    with pytest.raises(ValueError):
+        render_json(rep)
+    # meta is outside the canonical region, but render_json writes it too
+    rep = build_report("demo", {"q": 5}, {"value": 1}, meta={"wall_time_s": value})
+    assert canonical_bytes(rep)
+    with pytest.raises(ValueError):
+        render_json(rep)
+
+
 def test_render_csv_and_column_registry():
     text = render_csv(["a", "b"], [[1, "x"], [2, "y"]])
     assert text == "a,b\n1,x\n2,y\n"

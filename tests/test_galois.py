@@ -64,6 +64,7 @@ def test_largest_supported_field():
     a = 0x1234
     assert f.mul(a, f.inv(a)) == 1
     assert f.pow(3, f.q - 1) == 1
+    assert f.pow(3, (f.q - 1) << 70 | 1) == 3  # exponents past int64
     with pytest.raises(ValueError):
         field_new(1 << 17)
 
@@ -78,10 +79,11 @@ def test_log_tables_match_polynomial_arithmetic(q, poly):
     f = field_new(q, poly)
     ref = lambda a, b: poly_mod_gf2(poly_mul_gf2(a, b), poly)
     # exp[:q-1] are the powers of g, listing each nonzero element once
-    assert sorted(f._exp[: q - 1]) == list(range(1, q))
-    assert f._exp[q - 1 :] == f._exp[: q - 1]
-    g = f._exp[1]
-    assert all(f._exp[i + 1] == ref(f._exp[i], g) for i in range(q - 2))
+    exp = f._exp_np.tolist()
+    assert sorted(exp[: q - 1]) == list(range(1, q))
+    assert exp[q - 1 :] == exp[: q - 1]
+    g = exp[1]
+    assert all(exp[i + 1] == ref(exp[i], g) for i in range(q - 2))
     # g is the smallest generator: every smaller candidate has order < q - 1
     for h in range(2, g):
         x, order = h, 1
@@ -94,13 +96,15 @@ def test_log_tables_match_polynomial_arithmetic(q, poly):
         rng = np.random.default_rng(q)
         pairs = rng.integers(0, q, size=(2000, 2)).tolist() + [(0, q - 1), (q - 1, 1)]
     assert all(f.mul(a, b) == ref(a, b) for a, b in pairs)
+    # scalar results are Python ints, as for prime fields
+    assert {type(v) for v in (f.mul(q - 1, q - 1), f.inv(q - 1), f.pow(q - 1, 3))} == {int}
 
 
 def test_table_generators():
     # x = 2 generates under every (primitive) default modulus
-    assert all(field_new(1 << m)._exp[1] == 2 for m in range(2, 17))
-    assert field_new(16, 0b11111)._exp[1] == 3
-    assert field_new(256, 0x11B)._exp[1] == 3
+    assert all(field_new(1 << m)._exp_np[1] == 2 for m in range(2, 17))
+    assert field_new(16, 0b11111)._exp_np[1] == 3
+    assert field_new(256, 0x11B)._exp_np[1] == 3
 
 
 def _axioms_exhaustive(f: Field) -> None:

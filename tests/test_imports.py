@@ -1,4 +1,5 @@
-"""Static check of the package sources: no unused top-level import."""
+"""Static checks of the package sources: no unused top-level import, and no
+private name imported from another listlab module unless it is listed."""
 
 from __future__ import annotations
 
@@ -25,6 +26,31 @@ def _unused_imports(tree: ast.Module) -> list[str]:
     return [f"line {line}: {name}" for name, line in bound.items() if name not in used]
 
 
+# (importing module, source module, private name): every private name one
+# listlab module imports from another
+PRIVATE_IMPORTS = {
+    ("chaining", "plurality", "_batch_size"),
+    ("chaining", "plurality", "_counts_side_by_side"),
+    ("oracle", "linear_code", "_is_int"),
+    ("oracle", "plurality", "_agreement_tails"),
+    ("oracle", "plurality", "_top_sum_maxima"),
+}
+
+
+def _private_imports(name: str, tree: ast.Module) -> set[tuple[str, str, str]]:
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            source = node.module or ""
+            if node.level == 0 and not source.startswith("listlab."):
+                continue
+            source = source.removeprefix("listlab.")
+            found.update(
+                (name, source, alias.name) for alias in node.names if alias.name.startswith("_")
+            )
+    return found
+
+
 def test_sources_found():
     assert len(SOURCES) >= 10
 
@@ -41,3 +67,20 @@ def test_no_unused_top_level_imports():
 def test_detector_flags_an_unused_import():
     tree = ast.parse("import math\nfrom itertools import combinations, product\nproduct()\n")
     assert _unused_imports(tree) == ["line 1: math", "line 2: combinations"]
+
+
+def test_private_imports_are_listed():
+    found = set()
+    for p in SOURCES:
+        found |= _private_imports(p.stem, ast.parse(p.read_text(encoding="utf-8")))
+    assert found == PRIVATE_IMPORTS
+
+
+def test_private_import_detector():
+    tree = ast.parse(
+        "from .plurality import _a, b\nfrom listlab.oracle import _c\nfrom os import _exit\n"
+        "def f():\n    from .galois import _d\n"
+    )
+    assert _private_imports("m", tree) == {
+        ("m", "plurality", "_a"), ("m", "oracle", "_c"), ("m", "galois", "_d")
+    }

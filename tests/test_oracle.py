@@ -443,6 +443,27 @@ def test_exhaustive_scans_over_several_codeword_parts(monkeypatch):
     _check_scans_at_thresholds(rs_code(field_new(5), 2, [0, 1, 2, 3, 4]), 4)
 
 
+@pytest.mark.parametrize("code, part, block_rows", [
+    # RS over GF(5), n = 5: 25 codewords in parts of 7, 7, 7, 4; 4 blocks
+    (rs_code(field_new(5), 2, [0, 1, 2, 3, 4]), 7 << 15, 40 * 25),
+    # a sampled Hadamard code over GF(3), n = 6: 9 codewords in parts of 3,
+    # 27 blocks of one prefix each
+    (sample_code(hadamard_code(field_new(3), 2), 6, seed=4), 3 << 18, 1),
+])
+def test_top_sum_maxima_several_ks_match_brute_force(monkeypatch, code, part, block_rows):
+    monkeypatch.setattr(plurality, "_F64_EXACT", part)
+    monkeypatch.setattr(plurality, "_BLOCK_ROWS", block_rows)
+    assert plurality._part_size(code.n) < code.size
+    words, _, agr = _reference_agreements(code)
+    ordered = -np.sort(-agr, axis=1)
+    ks = [3, 1, len(words), 2, 5]
+    best, first, tails = plurality._top_sum_maxima(words, code.field.q, ks)
+    for k, value, index in zip(ks, best.tolist(), first.tolist()):
+        sums = ordered[:, :k].sum(axis=1)
+        assert (value, index) == (int(sums.max()), int(sums.argmax()))
+    assert tails.tolist() == [int((agr >= a).sum(axis=1).max()) for a in range(1, code.n + 1)]
+
+
 def _packed_exact(m, n):
     """The part-size rule: with b = m.bit_length(), a packed histogram of m
     codewords is an exact float64 sum and its read-off fits int64."""

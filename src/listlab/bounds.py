@@ -295,8 +295,9 @@ def gaussian_max_bound(sigma: float, n: int) -> float:
 
 
 # each named bound: the parameters it requires and its evaluator; "variant"
-# is a string, "ranges" a list of (a, b) pairs, and every other parameter a
-# real number
+# is a string, "ranges" a list of (a, b) pairs, the sizes in _INT_PARAMS
+# integers (an alphabet size q at least 2), and every other parameter a real
+# number
 _BOUNDS = {
     "entropy": (("q", "x"), lambda p, cfg: q_ary_entropy(p["q"], p["x"])),
     "capacity": (("q", "eps"), lambda p, cfg: capacity_rate(p["q"], p["eps"])),
@@ -335,7 +336,12 @@ def _is_real(v) -> bool:
         return False
 
 
+_INT_PARAMS = frozenset(("q", "n", "L", "N", "k"))
+
+
 def _param_ok(key: str, v) -> bool:
+    if key in _INT_PARAMS:
+        return _is_real(v) and isinstance(v, int) and (key != "q" or v >= 2)
     if key == "variant":
         return isinstance(v, str)
     if key == "ranges":
@@ -356,7 +362,7 @@ def _check_params(name: str, params) -> None:
         keys += ("q",)  # the optional alphabet size
     for key in keys:
         if not _param_ok(key, params[key]):
-            raise ValueError(f"bound {name!r} got an ill-typed {key}: {params[key]!r}")
+            raise ValueError(f"bound {name!r} got an invalid {key}: {params[key]!r}")
 
 
 def evaluate_bound(name: str, params: dict, cfg: ConstantsConfig | None = None) -> BoundReport:

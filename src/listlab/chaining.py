@@ -446,6 +446,8 @@ def concentration_check(
     L = len(lam)
     if L < 2:
         raise ValueError("need at least 2 codewords")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     q = code.field.q
     words = code.encode_all(lam.messages)
     counts_full = plurality_counts_array(words, q)[0]
@@ -472,8 +474,6 @@ def concentration_check(
         trials_used = total
     else:
         mode = "sampled"
-        if trials < 1:
-            raise ValueError("need at least 1 trial")
         rng = rng_for(seed)
         acc1 = np.zeros(n)
         acc2 = np.zeros(n)

@@ -299,6 +299,8 @@ def _run(args, cfg: RunConfig) -> tuple[dict, list[list] | None, int]:
         return {"code": code.as_dict()}, None, 0
 
     if args.group == "oracle":
+        if args.action == "check" and args.mode == AVERAGE_RADIUS and args.sample_received:
+            raise ValueError("--sample-received applies to --mode standard only")
         code = _load_code(code_arg)
         if args.action == "check":
             query = ListDecQuery(_fraction(args.radius, "--radius"), args.list_bound, args.mode)

@@ -132,11 +132,14 @@ class Field:
         # constant. g is dropped if 1 recurs among g^1..g^(q-2). 2 = "x"
         # generates under the primitive default polynomials; the search serves
         # other moduli. high[h] = h * x^m mod poly is linear in h, so it too
-        # fills by doubling, one bit of h at a time.
+        # fills by doubling, one bit of h at a time. log[0] is the index of
+        # exp's one trailing 0, past every sum of two logs of nonzero elements,
+        # so a product with a zero factor reads that 0 (clipped, for two zeros).
         high = np.zeros(1, dtype=np.int64)
         for b in range(m - 1):
             high = np.concatenate((high, high ^ poly_mod_gf2(1 << (m + b), poly)))
-        exp_np = np.empty(2 * (q - 1), dtype=np.int64)
+        zero_log = 2 * (q - 1)
+        exp_np = np.zeros(zero_log + 1, dtype=np.int64)
         exp = exp_np[: q - 1]
         exp[0] = 1
         for g in range(2, q):
@@ -149,40 +152,21 @@ class Field:
                 break
         else:  # pragma: no cover - every GF(2^m) has a generator
             raise ValueError("no multiplicative generator found")
-        exp_np[q - 1 :] = exp
-        log = np.zeros(q, dtype=np.int64)
+        exp_np[q - 1 : zero_log] = exp
+        log = np.full(q, zero_log, dtype=np.int64)
         log[exp] = np.arange(q - 1)
         self._exp_np = exp_np
         self._log_np = log
 
-    # -- scalar operations ----------------------------------------------
+    # -- arithmetic -------------------------------------------------------
 
     def _check(self, *els: int) -> None:
         for a in els:
             if not 0 <= a < self.q:
                 raise ValueError(f"{a} is not an element of GF({self.q})")
 
-    def add(self, a: int, b: int) -> int:
-        self._check(a, b)
-        if self.kind == "prime":
-            return (a + b) % self.q
-        return a ^ b
-
-    def sub(self, a: int, b: int) -> int:
-        self._check(a, b)
-        if self.kind == "prime":
-            return (a - b) % self.q
-        return a ^ b
-
-    def mul(self, a: int, b: int) -> int:
-        self._check(a, b)
-        if self.kind == "prime":
-            return (a * b) % self.q
-        if a == 0 or b == 0:
-            return 0
-        return self._exp_np.item(self._log_np.item(a) + self._log_np.item(b))
-
     def inv(self, a: int) -> int:
+        """The one scalar operation: the inverse of a nonzero element, as an int."""
         self._check(a)
         if a == 0:
             raise ZeroDivisionError("0 has no multiplicative inverse")
@@ -190,29 +174,24 @@ class Field:
             return pow(a, self.q - 2, self.q)
         return self._exp_np.item(self.q - 1 - self._log_np.item(a))
 
-    def pow(self, a: int, e: int) -> int:
-        self._check(a)
-        if e < 0:
-            return self.pow(self.inv(a), -e)
-        if a == 0:
-            return 1 if e == 0 else 0
-        if self.kind == "prime":
-            return pow(a, e, self.q)
-        return self._exp_np.item(self._log_np.item(a) * e % (self.q - 1))
-
-    # -- vectorized helpers (trusted internal paths, no per-op checks) ---
+    # The array operations take elements (ints or integer arrays, broadcasting
+    # together) without range checks: they serve trusted internal paths.
 
     def add_array(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         if self.kind == "prime":
             return (x + y) % self.q
         return np.bitwise_xor(x, y)
 
+    def sub_array(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        if self.kind == "prime":
+            return (x - y) % self.q
+        return np.bitwise_xor(x, y)
+
     def scale_array(self, s, x: np.ndarray) -> np.ndarray:
         """s * x elementwise; s is one element or an array broadcasting with x."""
         if self.kind == "prime":
             return (s * x) % self.q
-        prod = self._exp_np[self._log_np[s] + self._log_np[x]]
-        return np.where((np.asarray(s) == 0) | (x == 0), 0, prod)
+        return self._exp_np.take(self._log_np[s] + self._log_np[x], mode="clip")
 
     # -- identity ---------------------------------------------------------
 

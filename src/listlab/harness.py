@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 
+import numpy as np
+
 from .bounds import (
     ConstantsConfig,
     decodable_blocklength,
@@ -336,14 +338,16 @@ class SuiteResult(Record):
 def _check_field_axioms(seed: int):
     for q in (5, 8):
         f = field_new(q)
-        elems = range(q)
-        for a in elems:
-            for b in elems:
-                for c in elems:
-                    if f.mul(a, f.add(b, c)) != f.add(f.mul(a, b), f.mul(a, c)):
-                        return False, f"distributivity fails in GF({q}) at {(a, b, c)}"
-            if a and f.mul(a, f.inv(a)) != 1:
-                return False, f"inverse fails in GF({q}) at {a}"
+        a, b, c = np.indices((q, q, q))
+        lhs = f.scale_array(a, f.add_array(b, c))
+        rhs = f.add_array(f.scale_array(a, b), f.scale_array(a, c))
+        bad = np.argwhere(lhs != rhs)
+        if len(bad):
+            return False, f"distributivity fails in GF({q}) at {tuple(bad[0].tolist())}"
+        units = np.arange(1, q)
+        bad = units[f.scale_array(units, np.array([f.inv(u) for u in range(1, q)])) != 1]
+        if len(bad):
+            return False, f"inverse fails in GF({q}) at {bad[0]}"
     return True, "distributivity and inverses over all of GF(5), GF(8)"
 
 

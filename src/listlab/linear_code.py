@@ -9,6 +9,7 @@ change the answers).
 
 from __future__ import annotations
 
+import functools
 import json
 from fractions import Fraction
 
@@ -59,7 +60,14 @@ class LinearCode:
         if len(w) != self.n:
             return False
         self.field._check(*w)
-        return len(_row_reduce(self.field, self.basis() + (w,))) == self.rank()
+        if not self.rank():
+            return not any(w)
+        # the reduced basis is the identity at its pivot columns, so w is a
+        # codeword iff it is the combination with w's pivot symbols as coefficients
+        rows = np.array(self.basis(), dtype=np.int64)
+        coeffs = np.array(w)[(rows != 0).argmax(axis=1)]
+        word = functools.reduce(self.field.add_array, self.field.scale_array(coeffs[:, None], rows))
+        return w == tuple(word.tolist())
 
     @property
     def size(self) -> int:
@@ -203,28 +211,25 @@ def _combine(field: Field, tables: np.ndarray, digits: np.ndarray) -> np.ndarray
 
 
 def _row_reduce(field: Field, rows) -> tuple[tuple[int, ...], ...]:
-    mat = [list(r) for r in rows]
-    n = len(mat[0])
-    pivot_row = 0
-    for col in range(n):
-        sel = None
-        for r in range(pivot_row, len(mat)):
-            if mat[r][col] != 0:
-                sel = r
-                break
-        if sel is None:
-            continue
-        mat[pivot_row], mat[sel] = mat[sel], mat[pivot_row]
-        inv = field.inv(mat[pivot_row][col])
-        mat[pivot_row] = [field.mul(inv, x) for x in mat[pivot_row]]
-        for r in range(len(mat)):
-            if r != pivot_row and mat[r][col] != 0:
-                c = mat[r][col]
-                mat[r] = [field.sub(x, field.mul(c, p)) for x, p in zip(mat[r], mat[pivot_row])]
-        pivot_row += 1
-        if pivot_row == len(mat):
+    """Reduced row-echelon basis of the span of `rows`. Each pivot takes one
+    scalar inverse and whole-matrix array steps: scale the pivot row to a
+    leading 1, clear its column in every row at once, then put it back."""
+    mat = np.array(rows, dtype=np.int64)
+    r = 0
+    while r < len(mat):
+        # the first nonzero of the unreduced rows in column-major order: the
+        # next pivot column, and the first row with a nonzero there
+        cols, sels = np.nonzero(mat[r:].T)
+        if not cols.size:
             break
-    return tuple(tuple(row) for row in mat[:pivot_row])
+        col, sel = cols.item(0), r + sels.item(0)
+        pivot = field.scale_array(field.inv(mat.item(sel, col)), mat[sel])
+        mat = field.sub_array(mat, field.scale_array(mat[:, col, None], pivot))
+        # row sel is now zero: row r moves there and the pivot row takes slot r
+        mat[sel] = mat[r]
+        mat[r] = pivot
+        r += 1
+    return tuple(map(tuple, mat[:r].tolist()))
 
 
 # -- constructors -----------------------------------------------------------

@@ -403,6 +403,8 @@ def plurality_mass(
     """
     if L < 1:
         raise ValueError("list size must be >= 1")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     words = code.codeword_matrix(budgets=budgets)
     n_words = words.shape[0]
     if L > n_words:
@@ -428,8 +430,6 @@ def plurality_mass(
         return _mass_result(words, _greedy_rows(words, q, L), q, False, mode, None)
 
     if mode == "sampled":
-        if trials < 1:
-            raise ValueError(f"trials must be >= 1, got {trials}")
         rng = rng_for(seed, 0)
         chunk = _batch_size(q, words.shape[1], L)
         best_val, best_rows = -1, None

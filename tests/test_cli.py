@@ -257,6 +257,16 @@ def test_usage_errors(rs_path, tmp_path):
         ("entropy", '{"q": 3, "x": 1%s}' % ("0" * 400)),
         ("capacity", '{"q": 3, "eps": Infinity}'),
         ("hoeffding", '{"ranges": [[0, NaN]], "v": 1}'),
+        # sizes that are not JSON integers, and alphabets below 2
+        ("entropy", '{"q": 2.5, "x": 0.5}'),
+        ("capacity", '{"q": 2.5, "eps": 0.1}'),
+        ("blocklength", '{"q": 2.5, "eps": 0.25, "variant": "small-q", "k": 2}'),
+        ("blocklength", '{"q": 16, "eps": 0.25, "variant": "small-q", "k": 2.0}'),
+        ("johnson-eps", '{"n": 5.5, "q": 3, "L": 2, "eps": 0.5, "pair_sum": 1.0}'),
+        ("johnson-root", '{"n": 5, "L": 2.5, "pair_sum": 1.0}'),
+        ("sampled-agreement", '{"E": 2.0, "L": 4, "N": 16.5}'),
+        ("sampled-agreement", '{"E": 2.0, "L": 4, "N": 16, "q": 1}'),
+        ("gaussian-max", '{"sigma": 1, "n": 1000.5}'),
     ):
         assert main(["bounds", "eval", "--name", name, "--params", params]) == 2
     # a zero denominator is a usage error, not a ZeroDivisionError
@@ -490,11 +500,24 @@ def test_messages_outside_the_field_are_usage_errors(rs_path, command, messages,
      "candidates"),
     (["chain", "mc", "--check", "supremum", "--list-size", "3", "--candidates", "-1"],
      "candidates"),
+    # the exact routes take no trials, but refuse a bad count all the same
+    (["plurality", "Q", "--list-size", "3", "--trials", "0"], "trials"),
+    (["chain", "mc", "--check", "concentration", "--list-size", "3", "--trials", "0"], "trials"),
 ])
 def test_counts_below_one_are_usage_errors(rs_path, argv, name):
     err = _usage_error([*argv, "--code", rs_path])
     assert err.startswith("error: ") and err.count("\n") == 1
     assert name in err
+
+
+def test_average_radius_check_refuses_a_received_word_sample(rs_path):
+    # the average-radius oracle has no sampled scan
+    err = _usage_error([
+        "oracle", "check", "--code", rs_path, "--radius", "1/4", "--list-bound", "3",
+        "--mode", "average-radius", "--sample-received", "40",
+    ])
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "--sample-received" in err
 
 
 @pytest.mark.parametrize("size", [[], ["--list-size", "2"]])

@@ -8,7 +8,7 @@ import pytest
 from listlab.bounds import ConstantsConfig
 from listlab.config import Budgets
 from listlab.errors import InfeasibleError
-from listlab.galois import field_new
+from listlab.galois import Field, field_new
 from listlab.harness import (
     SCALE_NOTE,
     _REGISTRY,
@@ -165,3 +165,19 @@ def test_invariant_suite_scope_and_seed():
     shifted = invariant_suite("all", seed=99)
     exact_failures = [e for e in shifted.entries if e.kind == "exact" and not e.passed]
     assert exact_failures == []
+
+
+@pytest.mark.parametrize("kind, attr, wrong", [
+    ("prime", "add_array", lambda f, x, y: x + y),  # no reduction mod p
+    ("prime", "scale_array", lambda f, s, x: s * x),
+    ("binary-extension", "add_array", lambda f, x, y: x | y),
+    ("binary-extension", "scale_array", lambda f, s, x: s * x % f.q),  # integer product
+])
+def test_field_axioms_entry_fails_on_a_wrong_array_op(monkeypatch, kind, attr, wrong):
+    right = getattr(Field, attr)
+    monkeypatch.setattr(
+        Field, attr, lambda f, x, y: (wrong if f.kind == kind else right)(f, x, y)
+    )
+    (entry,) = invariant_suite("galois").entries
+    assert entry.name == "field-axioms" and not entry.passed
+    assert f"GF({5 if kind == 'prime' else 8})" in entry.details

@@ -11,9 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from listlab.errors import InfeasibleError
-from listlab.galois import field_new
+from listlab.galois import Field, field_new, poly_mod_gf2, poly_mul_gf2
 from listlab.linear_code import (
     LinearCode,
+    _row_reduce,
     code_from_json,
     code_to_json,
     full_rs_code,
@@ -159,6 +160,31 @@ def test_sample_preserves_expected_pairwise_distance():
     assert abs(total / trials - p_parent) <= 3 * se
 
 
+# scalar arithmetic by the definitions, independent of the field's array ops
+
+
+def _ref_add(f: Field, a: int, b: int) -> int:
+    return (a + b) % f.q if f.kind == "prime" else a ^ b
+
+
+def _ref_sub(f: Field, a: int, b: int) -> int:
+    return (a - b) % f.q if f.kind == "prime" else a ^ b
+
+
+def _ref_mul(f: Field, a: int, b: int) -> int:
+    return a * b % f.q if f.kind == "prime" else poly_mod_gf2(poly_mul_gf2(a, b), f.poly)
+
+
+def _ref_inv(f: Field, a: int) -> int:
+    """a^(q-2) by square-and-multiply."""
+    out, e = 1, f.q - 2
+    while e:
+        if e & 1:
+            out = _ref_mul(f, out, a)
+        a, e = _ref_mul(f, a, a), e >> 1
+    return out
+
+
 def test_encode_linearity():
     rng = np.random.default_rng(7)
     for q in (5, 4):
@@ -168,11 +194,11 @@ def test_encode_linearity():
             x = [int(v) for v in rng.integers(0, q, size=3)]
             y = [int(v) for v in rng.integers(0, q, size=3)]
             a = int(rng.integers(0, q))
-            xy = [f.add(u, v) for u, v in zip(x, y)]
-            ax = [f.mul(a, u) for u in x]
+            xy = [_ref_add(f, u, v) for u, v in zip(x, y)]
+            ax = [_ref_mul(f, a, u) for u in x]
             cx, cy, cxy, cax = c.encode_all([x, y, xy, ax]).tolist()
-            assert cxy == [f.add(u, v) for u, v in zip(cx, cy)]
-            assert cax == [f.mul(a, u) for u in cx]
+            assert cxy == [_ref_add(f, u, v) for u, v in zip(cx, cy)]
+            assert cax == [_ref_mul(f, a, u) for u in cx]
 
 
 def _encode_reference(code, message):
@@ -181,7 +207,7 @@ def _encode_reference(code, message):
     word = [0] * code.n
     for xi, row in zip(message, code.generator):
         for j, gij in enumerate(row):
-            word[j] = f.add(word[j], f.mul(xi, gij))
+            word[j] = _ref_add(f, word[j], _ref_mul(f, xi, gij))
     return tuple(word)
 
 
@@ -314,6 +340,80 @@ def test_min_distance_encodes_one_word_per_scalar_class(q, gen, monkeypatch):
     code.min_distance_exact()
     r = code.rank()
     assert sum(encoded) == (q**r - 1) // (q - 1)
+
+
+def _rref_reference(f: Field, rows) -> tuple[tuple[int, ...], ...]:
+    """Reduced row-echelon form, one scalar operation at a time."""
+    mat, r = [list(row) for row in rows], 0
+    for col in range(len(mat[0])):
+        sel = next((i for i in range(r, len(mat)) if mat[i][col]), None)
+        if sel is None:
+            continue
+        mat[r], mat[sel] = mat[sel], mat[r]
+        inv = _ref_inv(f, mat[r][col])
+        mat[r] = [_ref_mul(f, inv, x) for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r:
+                c = mat[i][col]
+                mat[i] = [_ref_sub(f, x, _ref_mul(f, c, p)) for x, p in zip(mat[i], mat[r])]
+        r += 1
+    return tuple(tuple(row) for row in mat[:r])
+
+
+# prime fields, GF(2^m) on default moduli, and the irreducible but not
+# primitive moduli x^4+x^3+x^2+x+1 (GF(16)) and 0x11B (GF(256))
+REDUCE_FIELDS = [(2, None), (3, None), (5, None), (7, None), (101, None), (65521, None),
+                 (4, None), (8, None), (256, None), (65536, None), (16, 0b11111), (256, 0x11B)]
+
+
+def _random_generators(f: Field, rng, count: int):
+    """Random k-by-n generators over f: full, rank-deficient (rows combined
+    from fewer rows), with a zero row and a zero column, and all zero."""
+    for i in range(count):
+        k, n = int(rng.integers(1, 6)), int(rng.integers(1, 9))
+        gen = rng.integers(0, f.q, size=(k, n)).tolist()
+        if i % 4 == 1:
+            few = gen[: max(1, k - 2)]
+            coeffs = rng.integers(0, f.q, size=(k, len(few))).tolist()
+            gen = [list(_encode_reference(LinearCode(f, few), c)) for c in coeffs]
+        elif i % 4 == 2:
+            gen[int(rng.integers(0, k))] = [0] * n
+            for row in gen:
+                row[int(rng.integers(0, n))] = 0
+        elif i % 8 == 7:
+            gen = [[0] * n for _ in range(k)]
+        yield gen
+
+
+@pytest.mark.parametrize("q, poly", REDUCE_FIELDS)
+def test_row_reduce_matches_scalar_reference(q, poly):
+    f = field_new(q, poly)
+    rng = np.random.default_rng(q + (poly or 0))
+    ranks = set()
+    for gen in _random_generators(f, rng, 30):
+        basis = _row_reduce(f, gen)
+        assert basis == _rref_reference(f, gen)
+        assert all(type(x) is int for row in basis for x in row)
+        ranks.add(len(basis) == min(len(gen), len(gen[0])))
+    assert ranks == {True, False}  # full-rank and rank-deficient draws both ran
+
+
+@pytest.mark.parametrize("q, poly", [(2, None), (3, None), (5, None), (4, None), (8, None),
+                                     (16, 0b11111)])
+def test_contains_matches_brute_force_membership(q, poly):
+    f = field_new(q, poly)
+    rng = np.random.default_rng(q)
+    codes = [LinearCode(f, gen) for gen in [[[0, 0, 0]], *_random_generators(f, rng, 40)]]
+    codes = [code for code in codes if code.size <= 1024][:24]
+    assert len(codes) == 24 and codes[0].rank() == 0
+    for code in codes:
+        members = {tuple(w) for w in code.codeword_matrix().tolist()}
+        if q**code.n <= 1024:
+            words = itertools.product(range(q), repeat=code.n)
+        else:  # every codeword, and as many random words
+            words = [*members, *map(tuple, rng.integers(0, q, size=(len(members), code.n)).tolist())]
+        for w in words:
+            assert code.contains(w) == (w in members)
 
 
 def test_contains_membership():

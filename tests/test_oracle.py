@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 import listlab.plurality as plurality
 from listlab.config import Budgets
 from listlab.errors import InfeasibleError
-from listlab.galois import field_new
+from listlab.galois import field_new, poly_mod_gf2, poly_mul_gf2
 from listlab.linear_code import LinearCode, hadamard_code, rs_code, sample_code
 from listlab.oracle import (
     AVERAGE_RADIUS,
@@ -535,11 +535,15 @@ def test_violation_past_the_enumeration_budget_verifies_from_witnesses():
     assert code.size > Budgets().max_codewords
     z = (0, 0, 1, 1)
 
+    def mul(a, b):
+        return poly_mod_gf2(poly_mul_gf2(a, b), field.poly)
+
     def line(i, j):
-        # the codeword of the line through (points[i], z[i]) and (points[j], z[j])
-        slope = field.mul(field.sub(z[j], z[i]), field.inv(field.sub(points[j], points[i])))
-        offset = field.sub(z[i], field.mul(slope, points[i]))
-        return tuple(field.add(offset, field.mul(slope, x)) for x in points)
+        # the codeword of the line through (points[i], z[i]) and (points[j], z[j]);
+        # in characteristic 2, subtraction is addition is xor
+        slope = mul(z[j] ^ z[i], field.inv(points[j] ^ points[i]))
+        offset = z[i] ^ mul(slope, points[i])
+        return tuple(offset ^ mul(slope, x) for x in points)
 
     witnesses = (line(0, 1), line(2, 3), line(0, 2))
     assert witnesses[:2] == ((0, 0, 0, 0), (1, 1, 1, 1))

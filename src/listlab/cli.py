@@ -4,8 +4,9 @@ Every command emits a versioned report envelope (schema 1) as JSON; tabular
 commands can emit CSV instead. The canonical region of a JSON report (all
 keys except "meta") is byte-identical across runs with the same arguments,
 config, and seed. Exit codes: 0 success, 1 adverse verdict (a violated
-certificate from a check command, a failed suite, or a missed required
-success rate), 2 usage errors and infeasible requests.
+certificate from a check command, a certificate that fails `oracle verify`,
+a failed suite, or a missed required success rate), 2 usage errors and
+infeasible requests.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from .oracle import (
     STANDARD,
     VIOLATED,
     ListDecQuery,
+    certificate_from_json_dict,
     decoding_radius_profile,
     is_avg_radius_list_decodable,
     is_list_decodable,
@@ -78,12 +80,17 @@ def _fraction(text: str, flag: str) -> Fraction:
         raise ValueError(f"{flag} has a zero denominator: {text!r}") from None
 
 
-def _load_code(path: str) -> LinearCode:
+def _load_document(path: str, key: str) -> dict:
+    """The JSON document at `path`, or its results[key] when it is a report."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
-    if isinstance(doc, dict) and isinstance(doc.get("results"), dict) and "code" in doc["results"]:
-        doc = doc["results"]["code"]
-    return code_from_json_dict(doc)
+    if isinstance(doc, dict) and isinstance(doc.get("results"), dict) and key in doc["results"]:
+        doc = doc["results"][key]
+    return doc
+
+
+def _load_code(path: str) -> LinearCode:
+    return code_from_json_dict(_load_document(path, "code"))
 
 
 def _default_messages(code: LinearCode, size: int) -> MessageSet:
@@ -166,6 +173,9 @@ def build_parser() -> argparse.ArgumentParser:
     po.add_argument("--mode", choices=(STANDARD, AVERAGE_RADIUS), default=STANDARD)
     po.add_argument("--sample-received", type=int, help="sampled scan instead of exhaustive")
     _add_common(po)
+    pv = oracle_sub.add_parser("verify")
+    pv.add_argument("--certificate", required=True, help="certificate or oracle check report")
+    _add_common(pv)
     pp = oracle_sub.add_parser("profile")
     pp.add_argument("--code", required=True)
     pp.add_argument("--max-list-size", type=int, required=True)
@@ -301,6 +311,10 @@ def _run(args, cfg: RunConfig) -> tuple[dict, list[list] | None, int]:
     if args.group == "oracle":
         if args.action == "check" and args.mode == AVERAGE_RADIUS and args.sample_received:
             raise ValueError("--sample-received applies to --mode standard only")
+        if args.action == "verify":
+            cert = certificate_from_json_dict(_load_document(args.certificate, "certificate"))
+            verified = cert.verify(budgets=cfg.budgets)
+            return {"certificate": cert.as_dict(), "verified": verified}, None, 0 if verified else 1
         code = _load_code(code_arg)
         if args.action == "check":
             query = ListDecQuery(_fraction(args.radius, "--radius"), args.list_bound, args.mode)

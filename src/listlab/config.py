@@ -9,6 +9,7 @@ fixed DEFAULT_ETA_RULE; reports echo it for provenance).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields
 
 from .bounds import ConstantsConfig, constants_from_dict
@@ -26,7 +27,8 @@ class Budgets(Record):
     either completes within it or raises InfeasibleError. Three things are
     charged: the N codewords of a row space, the q^n * N comparisons of an
     exhaustive received-word scan, and the C(N, L) subsets of a subset
-    enumeration.
+    enumeration. An exact plurality mass takes the route that `mass_route`
+    picks from the last two.
     """
 
     max_codewords: int = 1 << 22
@@ -56,6 +58,22 @@ class Budgets(Record):
             raise InfeasibleError(
                 f"{what} needs {cost} comparisons, budget {self.max_received_words}"
             )
+
+    def mass_route(self, code, L: int) -> str:
+        """Route of an exact plurality mass of `code` at list size L: "scan"
+        when its q^n * N comparisons fit max_received_words and cost no more
+        than the C(N, L) subsets or those are over max_subsets, else
+        "subsets"; InfeasibleError when both are over budget."""
+        scan_cost = self.scan_cost(code)
+        subset_count = math.comb(code.size, L)
+        scan_ok = scan_cost <= self.max_received_words
+        subsets_ok = subset_count <= self.max_subsets
+        if not scan_ok and not subsets_ok:
+            raise InfeasibleError(
+                f"exact mass needs a scan of {scan_cost} comparisons or {subset_count} subsets; "
+                f"budgets are {self.max_received_words} and {self.max_subsets}"
+            )
+        return "scan" if scan_ok and (not subsets_ok or scan_cost <= subset_count) else "subsets"
 
 
 def budgets_from_dict(data: dict) -> Budgets:

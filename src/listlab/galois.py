@@ -97,8 +97,7 @@ class Field:
     """
 
     def __init__(self, q: int, poly: int | None = None):
-        if q < 2 or q > 1 << 16:
-            raise ValueError(f"field order {q} out of supported range [2, 2^16]")
+        check_field_order(q)
         if is_prime(q):
             if poly is not None:
                 raise ValueError("prime fields take no modulus polynomial")
@@ -205,6 +204,12 @@ class Field:
         if self.kind == "prime":
             return f"GF({self.q})"
         return f"GF({self.q}, poly={bin(self.poly)})"
+
+
+def check_field_order(q: int) -> None:
+    """ValueError unless q lies in the supported range [2, 2^16]."""
+    if q < 2 or q > 1 << 16:
+        raise ValueError(f"field order {q} out of supported range [2, 2^16]")
 
 
 def field_new(q: int, poly: int | None = None) -> Field:

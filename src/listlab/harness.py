@@ -34,7 +34,7 @@ from .chaining import (
 )
 from .config import Budgets
 from .errors import InfeasibleError
-from .galois import field_new
+from .galois import check_field_order, field_new
 from .linear_code import (
     LinearCode,
     code_from_json,
@@ -113,6 +113,7 @@ def experiment_corollary(
     is given.
     """
     cfg = cfg or ConstantsConfig()
+    check_field_order(q)  # before 1/q; field_new below also refuses non-prime-powers
     eps = Fraction(eps)
     if not 0 < eps < 1:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")

@@ -20,6 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .bounds import root_bound_exceeded
 from .config import Budgets
 from .linear_code import LinearCode, _is_int, code_from_json_dict, lex_digits
 from .plurality import (
@@ -284,18 +285,36 @@ def is_avg_radius_list_decodable(
     *,
     budgets: Budgets = Budgets(),
 ) -> Certificate:
-    """Average-radius verdict via the largest plurality mass at size L+1.
+    """Average-radius verdict: decided from the minimum distance when the
+    Johnson bound settles it, else via the largest plurality mass at size L+1.
 
     Decodable iff every set of L+1 distinct codewords keeps its maximal total
     agreement at or below (L+1) * n * (1 - rho); by the plurality identity the
     inner maximum over received words needs no word-by-word search. Fewer
     than L+1 codewords in the whole code makes the question vacuously
     decodable.
+
+    The budgets are charged first, as the mass would charge them:
+    `max_codewords` >= N, then `Budgets.mass_route` (InfeasibleError when
+    both routes are over budget). Then the exact Johnson test: L+1 codewords
+    at pairwise relative distance >= d have ordered-pair distances summing to
+    at least (L+1) * L * d, and `root_bound_exceeded` on that sum and the
+    smallest violating total floor((L+1) * n * (1 - rho)) + 1 proves that no
+    set and no received word reach it. At radius 0 it always holds. That
+    verdict covers every set and every word, so it is "exhaustive" like the
+    search's, and `verify()` re-derives it by the plain scan. Otherwise the
+    mass is searched as before.
     """
     if query.mode != AVERAGE_RADIUS:
         raise ValueError(f"average-radius oracle got a {query.mode!r} query")
     size = query.list_bound + 1
     if code.size < size:
+        return Certificate(code, query, DECODABLE, EXHAUSTIVE)
+    budgets.check_codewords(code.size)
+    budgets.mass_route(code, size)
+    pair_sum = size * (size - 1) * code.min_distance_exact(budgets=budgets) if size > 1 else 0
+    least_violation = math.floor(size * code.n * (1 - query.radius)) + 1
+    if root_bound_exceeded(code.n, size, pair_sum, least_violation):
         return Certificate(code, query, DECODABLE, EXHAUSTIVE)
     mass = plurality_mass(code, size, mode="exact", budgets=budgets)
     threshold = Fraction(code.n) * (1 - query.radius)

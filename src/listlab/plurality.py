@@ -10,7 +10,6 @@ report payloads.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, eq
@@ -412,16 +411,7 @@ def plurality_mass(
     q = code.field.q
 
     if mode == "exact":
-        scan_cost = budgets.scan_cost(code)
-        subset_count = math.comb(n_words, L)
-        scan_ok = scan_cost <= budgets.max_received_words
-        subsets_ok = subset_count <= budgets.max_subsets
-        if not scan_ok and not subsets_ok:
-            raise InfeasibleError(
-                f"exact mass needs a scan of {scan_cost} comparisons or {subset_count} subsets; "
-                f"budgets are {budgets.max_received_words} and {budgets.max_subsets}"
-            )
-        if scan_ok and (not subsets_ok or scan_cost <= subset_count):
+        if budgets.mass_route(code, L) == "scan":
             rows = _scan_witness(words, q, L, top_agreement_scan(words, q, L)[1])
             return _mass_result(words, rows, q, True, mode, "scan")
         return _mass_result(words, _mass_by_subsets(words, q, L), q, True, mode, "subsets")

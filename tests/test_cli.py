@@ -545,3 +545,83 @@ def test_candidate_sets_past_int64_message_indices_are_usage_errors():
     ])
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "--q 256" in err and "--k 8" in err and "2^63 - 1" in err
+
+
+@pytest.mark.parametrize("q", ["0", "1", "-3"])
+def test_corollary_field_order_out_of_range_is_a_usage_error(q):
+    # refused before any eps check divides by q
+    err = _usage_error([
+        "experiment", "corollary", "--variant", "small-q", "--q", q, "--eps", "1/2", "--k", "2",
+    ])
+    assert err == f"error: field order {q} out of supported range [2, 2^16]\n"
+
+
+# -- oracle verify: certificates read back from disk -------------------------------
+
+
+def _saved_certificate(rs_path, tmp_path, name, *argv):
+    path = tmp_path / f"{name}.json"
+    main(["oracle", "check", "--code", rs_path, *argv, "--out", str(path)])
+    return path
+
+
+def _verify(path, *argv):
+    return main(["oracle", "verify", "--certificate", str(path), *argv])
+
+
+def test_oracle_verify_reads_saved_certificates(rs_path, tmp_path):
+    # radius 0 in average-radius mode is proved from the minimum distance
+    proved = _saved_certificate(
+        rs_path, tmp_path, "proved", "--radius", "0", "--list-bound", "2",
+        "--mode", "average-radius",
+    )
+    assert read(proved)["results"]["certificate"]["verdict"] == "decodable"
+    out = tmp_path / "verified.json"
+    assert _verify(proved, "--out", str(out)) == 0
+    assert read(out)["results"]["verified"] is True
+    # a bare certificate document verifies too, and so does a violation
+    violated = _saved_certificate(rs_path, tmp_path, "bad", "--radius", "1/2", "--list-bound", "2")
+    bare = tmp_path / "bare.json"
+    bare.write_text(json.dumps(read(violated)["results"]["certificate"]))
+    assert _verify(bare) == 0
+    # the decodable re-check is a scan charged to the --config budgets
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"budgets": {"max_received_words": 100}}))
+    assert _usage_error(["oracle", "verify", "--certificate", str(proved), "--config", str(cfg)])
+
+
+def test_oracle_verify_rejects_forged_certificates(rs_path, tmp_path):
+    violated = read(_saved_certificate(
+        rs_path, tmp_path, "violated", "--radius", "1/2", "--list-bound", "1",
+        "--mode", "average-radius",
+    ))["results"]["certificate"]
+    decodable = read(_saved_certificate(
+        rs_path, tmp_path, "decodable", "--radius", "1/4", "--list-bound", "1",
+        "--mode", "average-radius",
+    ))["results"]["certificate"]
+    assert violated["verdict"] == "violated" and decodable["verdict"] == "decodable"
+    forged_decodable = {
+        **violated, "verdict": "decodable", "witness_received": None, "witness_codewords": None,
+    }
+    # two codewords at total distance 3 from (0,0,0,0), not below 2 * 4 * 1/4 = 2
+    forged_violated = {
+        **decodable, "verdict": "violated", "witness_received": [0, 0, 0, 0],
+        "witness_codewords": [[0, 0, 0, 0], [0, 1, 2, 3]],
+    }
+    for doc in (forged_decodable, forged_violated):
+        path = tmp_path / "forged.json"
+        path.write_text(json.dumps({"results": {"certificate": doc}}))
+        out = tmp_path / "forged-out.json"
+        assert _verify(path, "--out", str(out)) == 1
+        assert read(out)["results"]["verified"] is False
+
+
+@pytest.mark.parametrize("text", [
+    "not json", "[]", '{"verdict": "decodable"}',
+    json.dumps({"results": {"certificate": {"code": VALID_CODE, "verdict": "violated"}}}),
+])
+def test_oracle_verify_malformed_documents_are_usage_errors(text, tmp_path):
+    path = tmp_path / "cert.json"
+    path.write_text(text)
+    err = _usage_error(["oracle", "verify", "--certificate", str(path)])
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -605,3 +605,76 @@ def test_decodable_reverification_is_charged_to_the_scan_budget():
     assert cert.verify(budgets=Budgets(max_received_words=cost))
     with pytest.raises(InfeasibleError):
         cert.verify(budgets=Budgets(max_received_words=cost - 1))
+
+
+# -- average-radius verdicts proved from the minimum distance ---------------------
+
+
+def _mass_verdict(code, query):
+    """The average-radius verdict read off the exact plurality mass alone."""
+    size = query.list_bound + 1
+    if code.size < size:
+        return DECODABLE
+    mass = plurality_mass(code, size, "exact", budgets=Budgets(max_subsets=1))  # scan route
+    return DECODABLE if mass.value <= code.n * (1 - query.radius) else VIOLATED
+
+
+def test_distance_proof_matches_the_mass_on_random_codes(monkeypatch):
+    searched = []
+    monkeypatch.setattr(
+        "listlab.oracle.plurality_mass",
+        lambda *a, **kw: searched.append(1) or plurality_mass(*a, **kw),
+    )
+    rng = np.random.default_rng(2024)
+    proved = compared = rank_deficient = 0
+    for _ in range(320):
+        q = int(rng.choice([2, 3, 4, 5, 7]))
+        k = int(rng.integers(1, 3))
+        n_max = max(n for n in range(1, 7) if n == 1 or q ** (n + k) <= 1 << 13)
+        rows = rng.integers(0, q, size=(k, int(rng.integers(1, n_max + 1))))
+        if k == 2 and rng.random() < 0.25:
+            rows[1] = rows[0]  # a repeated row: rank below k
+        code = LinearCode(field_new(q), rows.tolist())
+        rank_deficient += code.rank() < k
+        bound, n = int(rng.integers(0, 4)), code.n
+        for radius in {Fraction(0), Fraction(int(rng.integers(0, 2 * n + 1)), 2 * n)}:
+            query = ListDecQuery(radius, bound, AVERAGE_RADIUS)
+            before = len(searched)
+            cert = is_avg_radius_list_decodable(code, query, budgets=Budgets(max_subsets=1))
+            assert cert.verdict == _mass_verdict(code, query), (q, rows.tolist(), query)
+            assert cert.search == EXHAUSTIVE
+            proved += code.size > bound and len(searched) == before
+            compared += 1
+    assert compared >= 300 and rank_deficient >= 20
+    assert proved >= 100 and len(searched) >= 100  # both paths genuinely exercised
+
+
+@pytest.mark.parametrize("radius, bound", [(Fraction(1, 4), 1), (0, 1), (0, 0)])
+def test_distance_proved_query_runs_no_search(monkeypatch, radius, bound):
+    # RS5 has d = 3/4: a pair of codewords agrees with any word in at most
+    # 4 + 1 = 5 places, and the root bound gives < 6, so radius 1/4 (violating
+    # total 7) is decided without a search, as is every radius-0 query
+    monkeypatch.setattr(
+        "listlab.oracle.plurality_mass", mock.Mock(side_effect=AssertionError("searched"))
+    )
+    query = ListDecQuery(radius, bound, AVERAGE_RADIUS)
+    cert = is_avg_radius_list_decodable(RS5, query)
+    assert cert == Certificate(RS5, query, DECODABLE, EXHAUSTIVE)
+    assert cert.verify()
+
+
+def test_distance_proof_charges_the_budgets_of_the_search():
+    query = ListDecQuery(0, 2, AVERAGE_RADIUS)  # decided by the proof once charged
+    with pytest.raises(InfeasibleError) as exc:
+        is_avg_radius_list_decodable(
+            RS5, query, budgets=Budgets(max_subsets=1, max_received_words=1)
+        )
+    assert str(exc.value) == (
+        "exact mass needs a scan of 15625 comparisons or 2300 subsets; budgets are 1 and 1"
+    )
+    with pytest.raises(InfeasibleError) as exc:
+        is_avg_radius_list_decodable(RS5, query, budgets=Budgets(max_codewords=24))
+    assert str(exc.value) == "row space has 25 codewords, budget 24"
+    # either route within budget is enough, as for the search
+    cert = is_avg_radius_list_decodable(RS5, query, budgets=Budgets(max_subsets=2300))
+    assert cert.verdict == DECODABLE

@@ -170,7 +170,7 @@ def _check_pair_sum(L, pairwise_distance_sum) -> None:
 
 
 def random_code_agreement_bound(
-    E, L: int, N: int, cfg: ConstantsConfig | None = None, *, q: int | None = None
+    E, L: int, N: int, cfg: ConstantsConfig = ConstantsConfig(), *, q: int | None = None
 ) -> float:
     """Expected-maximum agreement bound for column-sampled codes.
 
@@ -178,7 +178,6 @@ def random_code_agreement_bound(
     an alphabet size `q` replaces one log2(L) factor by min(log2(L),
     log2(q)); this sharper variant is off by default.
     """
-    cfg = cfg or ConstantsConfig()
     E = float(E)
     if E < 0:
         raise ValueError(f"expected-value term must be >= 0, got {E}")
@@ -192,7 +191,9 @@ def random_code_agreement_bound(
     return E + y + math.sqrt(E * y)
 
 
-def decodable_blocklength(q: int, eps: float, variant: str, k: int, cfg: ConstantsConfig | None = None) -> int:
+def decodable_blocklength(
+    q: int, eps: float, variant: str, k: int, cfg: ConstantsConfig = ConstantsConfig()
+) -> int:
     """Minimal blocklength the sampling guarantees need, rounded up.
 
     variant "small-q": list size 2/eps^2, denominator min(eps, q*eps^2);
@@ -200,7 +201,6 @@ def decodable_blocklength(q: int, eps: float, variant: str, k: int, cfg: Constan
     numerator, and denominator eps. List sizes are rounded up before the
     log2^5 factor is taken.
     """
-    cfg = cfg or ConstantsConfig()
     eps = float(eps)
     if q < 2 or k < 1:
         raise ValueError("need q >= 2 and k >= 1")
@@ -243,10 +243,9 @@ class RateSummary:
         return self.rs_rate > self.johnson_rate
 
 
-def rate_summary(q: int, eps: float, cfg: ConstantsConfig | None = None) -> RateSummary:
+def rate_summary(q: int, eps: float, cfg: ConstantsConfig = ConstantsConfig()) -> RateSummary:
     """Rates of the sampled evaluation-point and sampled linear constructions
     against the generic square-root-bound rate eps^2."""
-    cfg = cfg or ConstantsConfig()
     eps = float(eps)
     if q < 2:
         raise ValueError(f"alphabet size must be >= 2, got {q}")
@@ -365,12 +364,11 @@ def _check_params(name: str, params) -> None:
             raise ValueError(f"bound {name!r} got an invalid {key}: {params[key]!r}")
 
 
-def evaluate_bound(name: str, params: dict, cfg: ConstantsConfig | None = None) -> BoundReport:
+def evaluate_bound(name: str, params: dict, cfg: ConstantsConfig = ConstantsConfig()) -> BoundReport:
     """Evaluate one named bound from a flat parameter dict."""
     if name not in _BOUNDS:
         raise ValueError(f"unknown bound {name!r}")
     _check_params(name, params)
-    cfg = cfg or ConstantsConfig()
     p = dict(params)
     value = _BOUNDS[name][1](p, cfg)
     return BoundReport(name, p, float(value))

@@ -24,7 +24,6 @@ import numpy as np
 
 from .bounds import ConstantsConfig
 from .config import Budgets
-from .errors import InfeasibleError
 from .linear_code import LinearCode, lex_digits
 from .plurality import (
     CodeFamily,
@@ -42,8 +41,6 @@ from .seeds import rng_for
 DEFAULT_RETRY_LIMIT = 200
 # draws of the sampled plurality mass that stands in for an infeasible exact Q
 SUPREMUM_MASS_TRIALS = 2000
-# concentration_check enumerates all 2^L subsets of sets of at most this size
-CONCENTRATION_EXACT_LIMIT = 12
 
 
 # -- chain parameters -----------------------------------------------------------
@@ -68,7 +65,7 @@ class ChainParams(Record):
 
 def chain_params(
     L: int,
-    cfg: ConstantsConfig | None = None,
+    cfg: ConstantsConfig = ConstantsConfig(),
     eta: float | None = None,
     retry_limit: int = DEFAULT_RETRY_LIMIT,
 ) -> ChainParams:
@@ -80,7 +77,6 @@ def chain_params(
     not positive, or L is at or below the applicability floor c0, the chain
     is degenerate: a single level and no halving steps.
     """
-    cfg = cfg or ConstantsConfig()
     cfg.validate_chaining()
     if L < 2:
         raise ValueError(f"need at least 2 codewords to chain, got {L}")
@@ -430,19 +426,20 @@ def concentration_check(
     lam: MessageSet,
     trials: int = 2000,
     seed: int = 0,
-    cfg: ConstantsConfig | None = None,
+    cfg: ConstantsConfig = ConstantsConfig(),
+    *,
+    budgets: Budgets = Budgets(),
 ) -> ConcentrationReport:
     """Check the two half-subset concentration moments per coordinate.
 
     For a fair-coin subset S of the codeword set, this bounds
     E[|S| * |pl_j - pl_j(S)|] by sqrt(C5 * L * log2(L) * pl_j) and
-    E[|S|^2 (pl_j - pl_j(S))^2] by C5 * L * log2(L) * pl_j. Sets of at most
-    CONCENTRATION_EXACT_LIMIT codewords are enumerated exactly (all 2^L
-    subsets, exact rational moments); larger sets are sampled. The empty
-    subset contributes zero through its |S| weight. The report carries the
-    smallest C5 that makes both inequalities hold as observed.
+    E[|S|^2 (pl_j - pl_j(S))^2] by C5 * L * log2(L) * pl_j. When the 2^L - 1
+    nonempty subsets fit `budgets.max_subsets` (capped at 4,095) all are
+    enumerated (exact rational moments); else `trials` subsets are sampled.
+    The empty subset contributes zero through its |S| weight. The report
+    carries the smallest C5 that makes both inequalities hold as observed.
     """
-    cfg = cfg or ConstantsConfig()
     L = len(lam)
     if L < 2:
         raise ValueError("need at least 2 codewords")
@@ -455,7 +452,8 @@ def concentration_check(
     log_l = math.log2(L)
     pl_exact = tuple(Fraction(int(c), L) for c in counts_full)
 
-    if L <= CONCENTRATION_EXACT_LIMIT:
+    # capped at 2^12 - 1: each subset costs a plurality-counter call, not a DFS leaf
+    if (1 << L) - 1 <= min(budgets.max_subsets, 4095):
         mode = "exact"
         total = 1 << L
         # member[bits, i] is bit i of bits; the empty subset's row contributes zero
@@ -644,31 +642,26 @@ def gaussian_supremum_experiment(
     n_candidates: int = 16,
     trials: int = 1000,
     seed: int = 0,
-    cfg: ConstantsConfig | None = None,
+    cfg: ConstantsConfig = ConstantsConfig(),
     *,
     budgets: Budgets = Budgets(),
 ) -> SupremumReport:
     """Estimate E max over candidate sets of |X([n], Lambda)| and compare it
     to C3 * sqrt(Q * log2(N) * log2(L)^5).
 
-    Q is the maximum plurality mass at list size L, computed exactly when
-    `budgets` allow either exact route and otherwise replaced by a sampled lower
-    bound (flagged, which makes the target itself a lower bound). The max
+    Q is the maximum plurality mass at list size L: exact on the route that
+    `budgets.mass_route(sampled=True)` picks, or, when it says "sampled", a
+    sampled lower bound (flagged, which makes the target a lower bound). The max
     runs over a sampled family of candidate sets, so the empirical value is
     also a lower bound on the true supremum; the minimal sufficient C3 is
     reported under that reading.
     """
-    cfg = cfg or ConstantsConfig()
     if L < 2:
         raise ValueError("need list size at least 2")
     if code.size < 4:
         raise ValueError("need at least 4 codewords")
-    try:
-        mass = plurality_mass(code, L, "exact", budgets=budgets)
-    except InfeasibleError:
-        mass = plurality_mass(
-            code, L, "sampled", trials=SUPREMUM_MASS_TRIALS, seed=seed, budgets=budgets
-        )
+    mode = "sampled" if budgets.mass_route(code, L, sampled=True) == "sampled" else "exact"
+    mass = plurality_mass(code, L, mode, trials=SUPREMUM_MASS_TRIALS, seed=seed, budgets=budgets)
     lams = candidate_message_sets(code.field, code.k, L, n_candidates, seed)
     coords = tuple(range(code.n))
     sample = gaussian_process_sample(code, [(coords, lam) for lam in lams], trials, seed)

@@ -424,7 +424,8 @@ def _run(args, cfg: RunConfig) -> tuple[dict, list[list] | None, int]:
             return {"net": res.as_dict()}, rows, 0
         if args.check == "concentration":
             rep = concentration_check(
-                code, lam, trials=args.trials, seed=args.seed, cfg=cfg.constants
+                code, lam, trials=args.trials, seed=args.seed, cfg=cfg.constants,
+                budgets=cfg.budgets,
             )
             return {"concentration": rep.as_dict()}, None, 0
         rep = gaussian_supremum_experiment(

@@ -24,11 +24,11 @@ class Budgets(Record):
     """Caps on exhaustive enumeration sizes, and the checks that charge them.
 
     Every exact computation takes one of these as its `budgets` keyword and
-    either completes within it or raises InfeasibleError. Three things are
-    charged: the N codewords of a row space, the q^n * N comparisons of an
-    exhaustive received-word scan, and the C(N, L) subsets of a subset
-    enumeration. An exact plurality mass takes the route that `mass_route`
-    picks from the last two.
+    completes within it, raises InfeasibleError, or, where its caller allows,
+    gives a sampled answer labelled as such. Three things are charged: the N
+    codewords of a row space, the q^n * N comparisons of an exhaustive
+    received-word scan, and the subsets of a subset enumeration. `mass_route`
+    picks a plurality mass's route from the last two.
     """
 
     max_codewords: int = 1 << 22
@@ -59,16 +59,19 @@ class Budgets(Record):
                 f"{what} needs {cost} comparisons, budget {self.max_received_words}"
             )
 
-    def mass_route(self, code, L: int) -> str:
-        """Route of an exact plurality mass of `code` at list size L: "scan"
-        when its q^n * N comparisons fit max_received_words and cost no more
-        than the C(N, L) subsets or those are over max_subsets, else
-        "subsets"; InfeasibleError when both are over budget."""
+    def mass_route(self, code, L: int, *, sampled: bool = False) -> str:
+        """Route of a plurality mass of `code` at list size L: "scan" when its
+        q^n * N comparisons fit max_received_words and cost no more than the
+        C(N, L) subsets or those are over max_subsets, else "subsets". Over
+        both budgets: "sampled" if the caller allows it, else InfeasibleError.
+        The caller charges max_codewords itself (a vacuous query never does)."""
         scan_cost = self.scan_cost(code)
         subset_count = math.comb(code.size, L)
         scan_ok = scan_cost <= self.max_received_words
         subsets_ok = subset_count <= self.max_subsets
         if not scan_ok and not subsets_ok:
+            if sampled:
+                return "sampled"
             raise InfeasibleError(
                 f"exact mass needs a scan of {scan_cost} comparisons or {subset_count} subsets; "
                 f"budgets are {self.max_received_words} and {self.max_subsets}"

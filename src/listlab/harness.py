@@ -33,7 +33,6 @@ from .chaining import (
     symmetrization_check,
 )
 from .config import Budgets
-from .errors import InfeasibleError
 from .galois import check_field_order, field_new
 from .linear_code import (
     LinearCode,
@@ -91,7 +90,7 @@ def experiment_corollary(
     eps,
     k: int,
     draws: int = 50,
-    cfg: ConstantsConfig | None = None,
+    cfg: ConstantsConfig = ConstantsConfig(),
     seed: int = 0,
     *,
     budgets: Budgets = Budgets(),
@@ -110,9 +109,9 @@ def experiment_corollary(
     rate formulas unless overridden. A radius that lands below zero is
     clamped to zero and flagged (the claim degenerates but stays checkable).
     The success fraction is reported, not asserted, unless a required rate
-    is given.
+    is given. With `allow_sampled`, a draw whose `mass_route` is "sampled"
+    is decided by a sampled mass, and the report's oracle reads "sampled".
     """
-    cfg = cfg or ConstantsConfig()
     check_field_order(q)  # before 1/q; field_new below also refuses non-prime-powers
     eps = Fraction(eps)
     if not 0 < eps < 1:
@@ -150,18 +149,15 @@ def experiment_corollary(
     verdicts = []
     for i in range(draws):
         code = sample_code(parent, n, seed=child_seed(seed, i))
-        try:
-            cert = is_avg_radius_list_decodable(code, query, budgets=budgets)
-            verdict = cert.verdict
-        except InfeasibleError:
-            if not allow_sampled:
-                raise
+        if allow_sampled and budgets.mass_route(code, L + 1, sampled=True) == "sampled":
             oracle_mode = "sampled"
             mass = plurality_mass(
                 code, L + 1, "sampled", trials=SAMPLED_MASS_TRIALS, seed=child_seed(seed, i, 1),
                 budgets=budgets,
             )
-            verdict = VIOLATED if mass.value > n * (1 - rho) else DECODABLE
+            verdict = VIOLATED if mass.value * (L + 1) > query.most_agreement(n) else DECODABLE
+        else:
+            verdict = is_avg_radius_list_decodable(code, query, budgets=budgets).verdict
         verdicts.append(verdict)
         successes += verdict == DECODABLE
     frac = successes / draws

@@ -72,6 +72,11 @@ class ListDecQuery(Record):
         """Smallest agreement count that puts a word inside the radius ball."""
         return n - math.floor(self.radius * n)
 
+    def most_agreement(self, n: int) -> int:
+        """floor((L+1) * n * (1 - rho)): the largest total agreement of L+1
+        codewords with one word at average relative distance >= rho from it."""
+        return math.floor((self.list_bound + 1) * n * (1 - self.radius))
+
 
 def query_from_json_dict(doc: dict) -> ListDecQuery:
     """Rebuild a query: the radius is an integer or a fraction string, the list
@@ -167,12 +172,12 @@ def _first_violation(blocks, words: np.ndarray, query: ListDecQuery):
 
     Standard mode: more than `list_bound` rows agree in at least the threshold
     count. Average-radius mode: the top-(L+1) agreement sum exceeds
-    (L+1) * n * (1 - rho), so L+1 rows (`words` must have them) sit at average
-    relative distance below rho.
+    `query.most_agreement(n)`, so L+1 rows (`words` must have them) sit at
+    average relative distance below rho.
     """
     n, size = words.shape[1], query.list_bound + 1
     t = query.agreement_threshold(n)
-    most = math.floor(size * n * (1 - query.radius))
+    most = query.most_agreement(n)
     for block in blocks:
         agr = agreement_block(block, words)
         if query.mode == STANDARD:
@@ -299,11 +304,11 @@ def is_avg_radius_list_decodable(
     both routes are over budget). Then the exact Johnson test: L+1 codewords
     at pairwise relative distance >= d have ordered-pair distances summing to
     at least (L+1) * L * d, and `root_bound_exceeded` on that sum and the
-    smallest violating total floor((L+1) * n * (1 - rho)) + 1 proves that no
+    smallest violating total `query.most_agreement(n) + 1` proves that no
     set and no received word reach it. At radius 0 it always holds. That
     verdict covers every set and every word, so it is "exhaustive" like the
     search's, and `verify()` re-derives it by the plain scan. Otherwise the
-    mass is searched as before.
+    searched mass decides: decodable iff (L+1) * mass <= most_agreement(n).
     """
     if query.mode != AVERAGE_RADIUS:
         raise ValueError(f"average-radius oracle got a {query.mode!r} query")
@@ -313,12 +318,11 @@ def is_avg_radius_list_decodable(
     budgets.check_codewords(code.size)
     budgets.mass_route(code, size)
     pair_sum = size * (size - 1) * code.min_distance_exact(budgets=budgets) if size > 1 else 0
-    least_violation = math.floor(size * code.n * (1 - query.radius)) + 1
-    if root_bound_exceeded(code.n, size, pair_sum, least_violation):
+    most = query.most_agreement(code.n)
+    if root_bound_exceeded(code.n, size, pair_sum, most + 1):
         return Certificate(code, query, DECODABLE, EXHAUSTIVE)
     mass = plurality_mass(code, size, mode="exact", budgets=budgets)
-    threshold = Fraction(code.n) * (1 - query.radius)
-    if mass.value <= threshold:
+    if mass.value * size <= most:
         return Certificate(code, query, DECODABLE, EXHAUSTIVE)
     return Certificate(
         code, query, VIOLATED, EXHAUSTIVE, mass.witness_received, mass.witness_codewords

@@ -16,7 +16,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from listlab import chaining
 from listlab.bounds import ConstantsConfig
 from listlab.chaining import (
     _pl_matrix,
@@ -28,6 +27,7 @@ from listlab.chaining import (
     net_invariant_violations,
     symmetrization_check,
 )
+from listlab.config import Budgets
 from listlab.galois import field_new
 from listlab.linear_code import LinearCode, hadamard_code, rs_code
 from listlab.plurality import (
@@ -260,7 +260,7 @@ def _exact_moments_reference(code, lam):
 
 def test_concentration_exact_matches_fraction_reference():
     rng = np.random.default_rng(12)
-    # L = 2 is the smallest exact set and L = 12 is CONCENTRATION_EXACT_LIMIT
+    # L = 2 is the smallest exact set and L = 12 the largest, 2^12 - 1 = 4,095 subsets
     for q, k, n, L in ((3, 2, 9, 7), (5, 2, 6, 9), (2, 4, 8, 10), (3, 2, 9, 2), (4, 2, 6, 12)):
         code = LinearCode(field_new(q), rng.integers(0, q, size=(k, n)).tolist())
         idxs = rng.choice(q**k, size=L, replace=False)
@@ -277,12 +277,13 @@ def test_concentration_constant_column_zero_deviation():
     assert rep.first_moment[2] == 0.0 and rep.second_moment[2] == 0.0
 
 
-def test_concentration_sampled_tracks_exact(monkeypatch):
+def test_concentration_sampled_tracks_exact():
     had2 = hadamard_code(F3, 2)
     lam9 = MessageSet.from_indices(3, 2, range(9))
     exact = concentration_check(had2, lam9, seed=6)
-    monkeypatch.setattr(chaining, "CONCENTRATION_EXACT_LIMIT", 8)
-    sampled = concentration_check(had2, lam9, trials=3000, seed=6)
+    sampled = concentration_check(
+        had2, lam9, trials=3000, seed=6, budgets=Budgets(max_subsets=2**8 - 1)
+    )
     assert exact.mode == "exact" and sampled.mode == "sampled"
     assert exact.satisfied_with_configured and sampled.satisfied_with_configured
     assert exact.min_sufficient_c5 < 1.0
@@ -291,16 +292,16 @@ def test_concentration_sampled_tracks_exact(monkeypatch):
         assert abs(exact.first_moment[j] - sampled.first_moment[j]) <= 0.1
 
 
-def test_concentration_preconditions(monkeypatch):
+def test_concentration_preconditions():
     code = LinearCode(F2, [[1, 1, 0]])
     with pytest.raises(ValueError):
         concentration_check(code, MessageSet(((1,),)))
-    monkeypatch.setattr(chaining, "CONCENTRATION_EXACT_LIMIT", 4)
     with pytest.raises(ValueError):
         concentration_check(
             hadamard_code(F3, 2),
             MessageSet.from_indices(3, 2, range(9)),
             trials=0,
+            budgets=Budgets(max_subsets=2**4 - 1),
         )
 
 

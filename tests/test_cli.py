@@ -364,6 +364,7 @@ EXACT_COMMANDS = {
     "chain-supremum": [
         "chain", "mc", "--check", "supremum", "--list-size", "4", "--trials", "50",
     ],
+    "chain-concentration": ["chain", "mc", "--check", "concentration", "--list-size", "4"],
 }
 
 
@@ -390,6 +391,10 @@ def test_exact_commands_honour_config_budgets(name, budgets, rs_path, tmp_path, 
         # both exact routes are over budget, so Q falls back to the sampled mass
         assert rc == 0
         assert read(out)["results"]["supremum"]["q_hat_exact"] is False
+    elif name == "chain-concentration":
+        # the 2^4 - 1 subsets are over max_subsets, so the moments are sampled
+        assert rc == 0
+        assert read(out)["results"]["concentration"]["mode"] == "sampled"
     else:
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: ")

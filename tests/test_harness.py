@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from listlab.bounds import ConstantsConfig
+from listlab.chaining import gaussian_supremum_experiment
 from listlab.config import Budgets
 from listlab.errors import InfeasibleError
 from listlab.galois import Field, field_new
@@ -17,7 +18,7 @@ from listlab.harness import (
     invariant_suite,
     johnson_radius_from_distance,
 )
-from listlab.linear_code import full_rs_code, sample_code
+from listlab.linear_code import full_rs_code, rs_code, sample_code
 from listlab.seeds import child_seed
 
 DESK_CFG = ConstantsConfig(C0=0.002)
@@ -91,6 +92,83 @@ def test_corollary_sampled_fallback():
         n_override=4, budgets=tiny, allow_sampled=True,
     )
     assert rep.measurements["oracle"] == "sampled"
+
+
+ROUTE_BUDGETS = {
+    "tiny": Budgets(max_codewords=1, max_received_words=1, max_subsets=1),
+    "only-codewords": Budgets(max_received_words=1, max_subsets=1),
+    "codewords-1": Budgets(max_codewords=1),
+    "default": Budgets(),
+}
+# (variant, q, eps, k, draws, n, seed)
+ROUTE_COROLLARIES = {
+    "q5": ("small-q", 5, Fraction(1, 2), 2, 2, 4, 1),
+    "q4-positive-radius": ("small-q", 4, Fraction(1, 5), 3, 2, 4, 1),
+    # N = 2 codewords, L + 1 = 19: vacuously decodable before any budget is charged
+    "vacuous": ("small-q", 2, Fraction(1, 3), 1, 1, 2, 0),
+}
+CODEWORDS_25 = "row space has 25 codewords, budget 1"
+CODEWORDS_64 = "row space has 64 codewords, budget 1"
+SAMPLED_2 = ("sampled", ["decodable"] * 2)
+EXHAUSTIVE_2 = ("exhaustive", ["decodable"] * 2)
+EXHAUSTIVE_1 = ("exhaustive", ["decodable"])
+
+
+def _outcome(run):
+    try:
+        return run()
+    except InfeasibleError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("case, budgets, allow_sampled, expected", [
+    ("q5", "tiny", False, CODEWORDS_25),
+    ("q5", "tiny", True, CODEWORDS_25),
+    ("q5", "only-codewords", False,
+     "exact mass needs a scan of 15625 comparisons or 2042975 subsets; budgets are 1 and 1"),
+    ("q5", "only-codewords", True, SAMPLED_2),
+    ("q5", "codewords-1", False, CODEWORDS_25),
+    ("q5", "codewords-1", True, CODEWORDS_25),
+    ("q5", "default", False, EXHAUSTIVE_2),
+    ("q5", "default", True, EXHAUSTIVE_2),
+    ("q4-positive-radius", "tiny", True, CODEWORDS_64),
+    ("q4-positive-radius", "only-codewords", False,
+     "exact mass needs a scan of 16384 comparisons or 13136858812224 subsets; "
+     "budgets are 1 and 1"),
+    ("q4-positive-radius", "only-codewords", True, SAMPLED_2),
+    ("q4-positive-radius", "codewords-1", True, CODEWORDS_64),
+    ("q4-positive-radius", "default", True, EXHAUSTIVE_2),
+    *[("vacuous", name, allow, EXHAUSTIVE_1) for name in ROUTE_BUDGETS for allow in (False, True)],
+])
+def test_corollary_route_and_error_text(case, budgets, allow_sampled, expected):
+    variant, q, eps, k, draws, n, seed = ROUTE_COROLLARIES[case]
+
+    def run():
+        rep = experiment_corollary(
+            variant, q, eps, k, draws=draws, cfg=DESK_CFG, seed=seed, n_override=n,
+            budgets=ROUTE_BUDGETS[budgets], allow_sampled=allow_sampled,
+        )
+        return rep.measurements["oracle"], rep.verdicts["per_draw"]
+
+    assert _outcome(run) == expected
+
+
+@pytest.mark.parametrize("budgets, expected", [
+    ("tiny", CODEWORDS_25),
+    ("only-codewords", ("9/4", False)),
+    ("codewords-1", CODEWORDS_25),
+    ("default", ("9/4", True)),
+])
+def test_supremum_route_and_error_text(budgets, expected):
+    code = rs_code(field_new(5), 2, [0, 1, 2, 3])
+
+    def run():
+        rep = gaussian_supremum_experiment(
+            code, 4, n_candidates=3, trials=20, seed=2, budgets=ROUTE_BUDGETS[budgets]
+        )
+        return str(rep.q_hat), rep.q_hat_exact
+
+    assert _outcome(run) == expected
 
 
 def test_johnson_radius_from_distance_values():

@@ -64,6 +64,28 @@ def test_query_validation():
         ListDecQuery(Fraction(1, 2), 1, "typical")
 
 
+def test_most_agreement_matches_the_average_distance_definition():
+    # L+1 codewords with total agreement A sit at total distance (L+1) * n - A,
+    # and violate the query iff that is below (L+1) * n * rho, the Fraction
+    # comparison Certificate.verify() makes; on every total A of this grid,
+    # A > most_agreement(n) must say the same
+    cases = 0
+    for n in range(1, 13):
+        for bound in range(6):
+            size = bound + 1
+            for d in range(1, 2 * n + 1):
+                for m in range(d + 1):
+                    query = ListDecQuery(Fraction(m, d), bound, AVERAGE_RADIUS)
+                    most, reach = query.most_agreement(n), size * n * query.radius
+                    assert all(
+                        (a > most) == (size * n - a < reach) for a in range(size * n + 1)
+                    ), (n, bound, query.radius)
+                    cases += size * n + 1
+    assert cases == 305_682
+    assert ListDecQuery(Fraction(1, 3), 2, AVERAGE_RADIUS).most_agreement(4) == 8
+    assert ListDecQuery(0, 0, AVERAGE_RADIUS).most_agreement(5) == 5
+
+
 def test_standard_trivial_verdicts():
     for code in (RS5, LinearCode(field_new(2), [[1, 1, 0], [0, 1, 1]])):
         cert = is_list_decodable(code, ListDecQuery(0, 1))

@@ -191,37 +191,49 @@ def random_code_agreement_bound(
     return E + y + math.sqrt(E * y)
 
 
+def is_large_q(q: int, eps) -> bool:
+    """The large-q regime q * eps^2 > 1, decided exactly on Fraction(eps)."""
+    return q * Fraction(eps) ** 2 > 1
+
+
+def corollary_list_size(variant: str, eps) -> int:
+    """The corollary's list size, exact on Fraction(eps): ceil(2/eps^2) for
+    small-q, ceil(1/eps) for large-q."""
+    eps = Fraction(eps)
+    if variant == "small-q":
+        return math.ceil(2 / eps**2)
+    if variant == "large-q":
+        return math.ceil(1 / eps)
+    raise ValueError(f"variant must be 'small-q' or 'large-q', got {variant!r}")
+
+
 def decodable_blocklength(
-    q: int, eps: float, variant: str, k: int, cfg: ConstantsConfig = ConstantsConfig()
+    q: int, eps, variant: str, k: int, cfg: ConstantsConfig = ConstantsConfig()
 ) -> int:
     """Minimal blocklength the sampling guarantees need, rounded up.
 
     variant "small-q": list size 2/eps^2, denominator min(eps, q*eps^2);
     variant "large-q": needs q > 1/eps^2, list size 1/eps, a factor-2
-    numerator, and denominator eps. List sizes are rounded up before the
-    log2^5 factor is taken.
+    numerator, and denominator eps. The list size and the regime are exact
+    on Fraction(eps); the rest is float arithmetic.
     """
-    eps = float(eps)
+    eps_f = float(eps)
     if q < 2 or k < 1:
         raise ValueError("need q >= 2 and k >= 1")
-    if not (0 < eps < 1 and eps**2 >= sys.float_info.min):
-        raise ValueError(f"eps must lie in (0, 1), with eps^2 a normal float, got {eps}")
+    if not (0 < eps_f < 1 and eps_f**2 >= sys.float_info.min):
+        raise ValueError(f"eps must lie in (0, 1), with eps^2 a normal float, got {eps_f}")
+    lst = corollary_list_size(variant, eps)
     log_n_codewords = k * _log2(q)
     if variant == "small-q":
-        lst = math.ceil(2 / eps**2)
-        denom = min(eps, q * eps**2)
-        value = cfg.C0 * log_n_codewords * _log2(lst) ** 5 / denom
-    elif variant == "large-q":
-        if q <= 1 / eps**2:
-            raise ValueError(f"large-q variant needs q > 1/eps^2, got q={q}, eps={eps}")
-        lst = math.ceil(1 / eps)
-        if lst < 2:
-            raise ValueError(f"large-q list size 1/eps must be >= 2, got eps={eps}")
-        value = 2 * cfg.C0 * log_n_codewords * _log2(lst) ** 5 / eps
+        value = cfg.C0 * log_n_codewords * _log2(lst) ** 5 / min(eps_f, q * eps_f**2)
     else:
-        raise ValueError(f"variant must be 'small-q' or 'large-q', got {variant!r}")
+        if not is_large_q(q, eps):
+            raise ValueError(f"large-q variant needs q > 1/eps^2, got q={q}, eps={eps_f}")
+        if lst < 2:
+            raise ValueError(f"large-q list size 1/eps must be >= 2, got eps={eps_f}")
+        value = 2 * cfg.C0 * log_n_codewords * _log2(lst) ** 5 / eps_f
     if not math.isfinite(value):
-        raise ValueError(f"eps is too small: the blocklength overflows a float, got {eps}")
+        raise ValueError(f"eps is too small: the blocklength overflows a float, got {eps_f}")
     return math.ceil(value)
 
 
@@ -247,10 +259,10 @@ def rate_summary(q: int, eps: float, cfg: ConstantsConfig = ConstantsConfig()) -
     """Rates of the sampled evaluation-point and sampled linear constructions
     against the generic square-root-bound rate eps^2."""
     eps = float(eps)
-    if q < 2:
-        raise ValueError(f"alphabet size must be >= 2, got {q}")
-    if not (0 < eps < 0.5):
-        raise ValueError(f"eps must lie in (0, 1/2), got {eps}")
+    if q < 2 or not _is_real(q):
+        raise ValueError(f"alphabet size must be >= 2 and convert to a finite float, got {q}")
+    if not (0 < eps < 0.5 and eps**2 >= sys.float_info.min):
+        raise ValueError(f"eps must lie in (0, 1/2), with eps^2 a normal float, got {eps}")
     log_inv = _log2(1 / eps) ** 5
     rs = eps / (_log2(q) * log_inv)
     rlc = min(eps, q * eps * eps) / (2 * cfg.C0 * _log2(q) * log_inv)

@@ -17,6 +17,7 @@ right-hand sides involve square roots).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -85,8 +86,8 @@ def chain_params(
     log_l = math.log2(L)
     if eta is None:
         eta = min(0.5, 1 / log_l)
-    if not (0 < eta <= 0.5):
-        raise ValueError(f"eta must lie in (0, 1/2], got {eta}")
+    if not (0 < eta <= 0.5 and eta**2 >= sys.float_info.min):
+        raise ValueError(f"eta must lie in (0, 1/2], with eta^2 a normal float, got {eta}")
     t_raw = (log_l - 2 * math.log2(1 / eta) - 2) / math.log2(2 / (1 - eta))
     t_max = math.floor(t_raw)
     gamma = 4 * cfg.c1 * log_l / ((1 - eta) ** 2 * eta**2)
@@ -194,18 +195,16 @@ def build_nets(
     L = len(lam0)
     if code.size <= 2 * L:
         raise ValueError(f"need more than 2L = {2 * L} codewords, code has {code.size}")
-    n, q = code.n, code.field.q
+    q, c1, eta_v = code.field.q, params.constants.c1, params.eta
     log_l = math.log2(L)
     words = code.encode_all(lam0.messages)
-    eta_v = params.eta
-    rows = np.arange(L)
+    rows, coords = np.arange(L), np.arange(code.n)
     counts = plurality_counts_array(words, q)[0]
     q_base = Fraction(int(counts.sum()), L)
-    coords = tuple(range(n))
     levels = [
         NetLevel(
             level=0,
-            coords=coords,
+            coords=tuple(range(code.n)),
             lam=lam0,
             lam_size=L,
             pl_sum=q_base,
@@ -214,123 +213,92 @@ def build_nets(
         )
     ]
     fails = [0, 0, 0]
-    min_c4 = None
-    messages = list(lam0)
+    min_c4 = failed_level = None
 
     for t in range(params.t_max):
         m_t = len(rows)
         q_t = params.q_bound(float(q_base), t)
         heavy = np.nonzero(counts >= params.gamma)[0]
-        heavy_set = set(int(j) for j in heavy)
         pl_t = counts / m_t
-        accepted = None
-        lo = (1 - eta_v) / 2 * m_t
-        hi = (1 + eta_v) / 2 * m_t
+        lo, hi = (1 - eta_v) / 2 * m_t, (1 + eta_v) / 2 * m_t
         for attempt in range(params.retry_limit):
-            coin = rng_for(seed, t, attempt).random(m_t) < 0.5
-            sub = rows[coin]
+            sub = rows[rng_for(seed, t, attempt).random(m_t) < 0.5]
             m_new = len(sub)
             if not (lo <= m_new <= hi):
                 fails[0] += 1
                 continue
             counts_new = plurality_counts_array(words[sub], q)[0]
             pl_new = counts_new / m_new
-            ok = True
             if heavy.size:
-                slack = np.sqrt(params.constants.c1 * m_t * log_l * pl_t[heavy]).sum() / m_new
+                slack = np.sqrt(c1 * m_t * log_l * pl_t[heavy]).sum() / m_new
                 if pl_new[heavy].sum() > pl_t[heavy].sum() + slack:
                     fails[1] += 1
-                    ok = False
-                else:
-                    move = math.sqrt(float(((pl_new[heavy] - pl_t[heavy]) ** 2).sum()))
-                    if move > math.sqrt(params.constants.c1 * m_t * log_l * q_t) / m_new:
-                        fails[2] += 1
-                        ok = False
-            if ok:
-                accepted = (sub, counts_new)
-                break
-        if accepted is None:
-            return _finish(
-                code, params, levels, False, t + 1, fails, q_base, min_c4, L
-            )
-        sub, counts_new = accepted
-        m_new = len(sub)
-        # step metrics: l2 distance between the coordinate-masked plurality
-        # vectors, the width budget, and the Holder control of dropped mass
-        prev_coords = levels[-1].coords
-        mask_prev = np.zeros(n, dtype=bool)
-        mask_prev[list(prev_coords)] = True
-        mask_new = np.zeros(n, dtype=bool)
-        if heavy.size:
-            mask_new[heavy] = True
-        step_vec = np.where(mask_prev, counts / m_t, 0.0) - np.where(
-            mask_new, counts_new / m_new, 0.0
-        )
+                    continue
+                move = math.sqrt(float(((pl_new[heavy] - pl_t[heavy]) ** 2).sum()))
+                if move > math.sqrt(c1 * m_t * log_l * q_t) / m_new:
+                    fails[2] += 1
+                    continue
+            break
+        else:
+            failed_level = t + 1
+            break
+        # step metrics: l2 distance between the plurality vectors restricted to
+        # the old and new coordinates, the width budget, and the Holder control
+        # of the dropped mass (counts only shrink, so heavy lies inside coords)
+        step_vec = np.zeros(code.n)
+        step_vec[coords] = pl_t[coords]
+        step_vec[heavy] -= pl_new[heavy]
         step_distance = math.sqrt(float((step_vec**2).sum()))
-        width_rhs = (
-            params.constants.C4
-            * math.sqrt(q_t * log_l)
-            / (eta_v * math.sqrt(m_t))
-        )
         if q_t > 0:
             needed = step_distance * eta_v * math.sqrt(m_t) / math.sqrt(q_t * log_l)
             min_c4 = needed if min_c4 is None else max(min_c4, needed)
-        dropped = [j for j in prev_coords if j not in heavy_set]
-        holder_lhs = math.sqrt(sum(float(Fraction(int(counts[j]), m_t)) ** 2 for j in dropped))
-        holder_rhs = math.sqrt(params.gamma * q_t / m_t)
-        rows = sub
-        counts = counts_new
-        messages = [messages[i] for i, keep in enumerate(coin) if keep]
-        new_coords = tuple(sorted(heavy_set))
+        dropped = pl_t[coords[counts[coords] < params.gamma]].tolist()  # coords minus heavy
+        rows, counts, coords = sub, counts_new, heavy
         levels.append(
             NetLevel(
                 level=t + 1,
-                coords=new_coords,
-                lam=MessageSet(tuple(messages)),
+                coords=tuple(heavy.tolist()),
+                lam=MessageSet(tuple(lam0.messages[i] for i in rows)),
                 lam_size=m_new,
-                pl_sum=Fraction(int(counts[list(new_coords)].sum()) if new_coords else 0, m_new),
+                pl_sum=Fraction(int(counts[heavy].sum()), m_new),
                 q_bound=params.q_bound(float(q_base), t + 1),
                 size_guard=m_new >= 4 / eta_v**2,
                 retries=attempt,
                 step_distance=step_distance,
-                width_rhs=width_rhs,
-                holder_lhs=holder_lhs,
-                holder_rhs=holder_rhs,
+                width_rhs=params.constants.C4 * math.sqrt(q_t * log_l) / (eta_v * math.sqrt(m_t)),
+                # a Python sum in coordinate order: a numpy reduction would reorder the additions
+                holder_lhs=math.sqrt(sum(p**2 for p in dropped)),
+                holder_rhs=math.sqrt(params.gamma * q_t / m_t),
             )
         )
-    return _finish(code, params, levels, True, None, fails, q_base, min_c4, L)
 
-
-def _finish(code, params, levels, success, failed_level, fails, q_base, min_c4, L):
     t_top = len(levels) - 1
-    log_sizes = _log2_net_sizes(code.size, L, params.constants.C6, max(t_top, 0))
-    deltas = []
-    for t in range(t_top):
-        deltas.append(
-            math.sqrt(2.0)
-            * (math.e * params.constants.C4 / params.eta)
-            * math.sqrt(float(q_base) * math.log2(L) * 2**t / L)
-        )
-    terms = []
-    for t in range(t_top):
-        ln_pair = (log_sizes[t] + log_sizes[t + 1]) * math.log(2)
-        terms.append(math.sqrt(2 * max(ln_pair, 0.0)) * deltas[t])
+    log_sizes = _log2_net_sizes(code.size, L, params.constants.C6, t_top)
+    deltas = tuple(
+        math.sqrt(2.0)
+        * (math.e * params.constants.C4 / eta_v)
+        * math.sqrt(float(q_base) * log_l * 2**t / L)
+        for t in range(t_top)
+    )
+    terms = tuple(
+        math.sqrt(2 * max((log_sizes[t] + log_sizes[t + 1]) * math.log(2), 0.0)) * deltas[t]
+        for t in range(t_top)
+    )
     result = NetBuildResult(
         params=params,
         levels=tuple(levels),
-        success=success,
+        success=failed_level is None,
         failed_level=failed_level,
         condition_failures=tuple(fails),
         q_base=q_base,
         min_sufficient_c4=min_c4,
-        increment_scales=tuple(deltas),
-        union_bound_terms=tuple(terms),
+        increment_scales=deltas,
+        union_bound_terms=terms,
         log2_net_sizes=log_sizes,
     )
-    if success:
-        problems = net_invariant_violations(result)
-        if problems:
-            raise RuntimeError("net postcondition violated: " + "; ".join(problems))
+    problems = net_invariant_violations(result) if result.success else ()
+    if problems:
+        raise RuntimeError("net postcondition violated: " + "; ".join(problems))
     return result
 
 

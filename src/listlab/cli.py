@@ -18,7 +18,7 @@ import sys
 import time
 from fractions import Fraction
 
-from .bounds import capacity_rate, capacity_rate_small_eps, evaluate_bound, rate_summary
+from .bounds import capacity_rate, capacity_rate_small_eps, evaluate_bound, is_large_q, rate_summary
 from .chaining import (
     build_nets,
     chain_params,
@@ -345,7 +345,7 @@ def _run(args, cfg: RunConfig) -> tuple[dict, list[list] | None, int]:
         for q in qs:
             for eps in epss:
                 s = rate_summary(q, float(eps), cfg.constants)
-                regime = "large-q" if q > 1 / float(eps) ** 2 else "small-q"
+                regime = "large-q" if is_large_q(q, eps) else "small-q"
                 cap = capacity_rate(q, float(eps))
                 cap_small = capacity_rate_small_eps(q, float(eps))
                 row = {
@@ -493,6 +493,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {command} has no CSV form; use --format json", file=sys.stderr)
         return 2
     try:
+        if args.seed < 0:  # every seed keys a numpy stream, which takes no negatives
+            raise ValueError(f"--seed must be >= 0, got {args.seed}")
         cfg = load_config(args.config) if args.config else RunConfig()
         results, rows, exit_code = _run(args, cfg)
         params = {

@@ -110,6 +110,8 @@ class Field:
             m = q.bit_length() - 1
             if poly is None:
                 poly = DEFAULT_POLY[m]
+            if poly < 1:
+                raise ValueError(f"modulus polynomial bitmask must be positive, got {poly}")
             if poly.bit_length() - 1 != m:
                 raise ValueError(f"modulus polynomial degree {poly.bit_length() - 1} != {m}")
             if not is_irreducible_gf2(poly):

@@ -19,7 +19,9 @@ import numpy as np
 
 from .bounds import (
     ConstantsConfig,
+    corollary_list_size,
     decodable_blocklength,
+    is_large_q,
     johnson_agreement_bound_eps,
     q_ary_entropy,
     root_bound_exceeded,
@@ -123,22 +125,21 @@ def experiment_corollary(
     if eps >= 1 - Fraction(1, q):
         raise ValueError(f"eps = {eps} at or above 1 - 1/q leaves no radius")
     if variant == SMALL_Q:
-        L = math.ceil(2 / eps / eps)
         rho_raw = 1 - 1 / q - (2 + math.sqrt(2)) * float(eps)
     elif variant == LARGE_Q:
-        if Fraction(q) <= 1 / eps / eps:
+        if not is_large_q(q, eps):
             raise ValueError(f"large-q variant needs q > 1/eps^2, got q = {q}")
         if k - 1 > eps * eps * q:
             raise ValueError(
                 f"k - 1 = {k - 1} exceeds eps^2 q = {float(eps * eps * q)}; "
                 "parent distance would drop below 1 - eps^2"
             )
-        L = math.ceil(1 / eps)
         rho_raw = 1 - 5 * float(eps)
     else:
         raise ValueError(f"unknown variant {variant!r}")
+    L = corollary_list_size(variant, eps)
     field_obj = field_new(q)
-    n = n_override if n_override is not None else decodable_blocklength(q, float(eps), variant, k, cfg)
+    n = n_override if n_override is not None else decodable_blocklength(q, eps, variant, k, cfg)
     parent = hadamard_code(field_obj, k) if variant == SMALL_Q else full_rs_code(field_obj, k)
     degenerate_radius = rho_raw < 0
     rho = Fraction(max(rho_raw, 0.0))

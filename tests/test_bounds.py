@@ -196,6 +196,8 @@ def test_decodable_blocklength_frozen_and_monotone():
     assert decodable_blocklength(16, 0.125, "small-q", 2) > n
     # large-q: q=1024, eps=1/8: list 8, factor 2, denominator eps
     assert decodable_blocklength(1024, 0.125, "large-q", 2) == 77760
+    # the list size is ceil(2/eps^2) = 98 on the exact eps, not 99 from float(1/7)
+    assert decodable_blocklength(8, Fraction(1, 7), "small-q", 2) == 531868
     with pytest.raises(ValueError):
         decodable_blocklength(25, 0.1, "large-q", 2)  # q <= 1/eps^2
     with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ import io
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from listlab import cli
@@ -96,6 +96,16 @@ def test_bounds_table_and_eval(tmp_path):
     assert lines[0] == ",".join(REPO_CSV_COLUMNS["bounds table"])
     assert lines[1].startswith("2,2/5,small-q,")
     assert lines[2].startswith("1048576,2/5,large-q,")
+    # q * eps^2 = 1 exactly: not large-q, as the large-q corollary also says
+    assert main([
+        "bounds", "table", "--q-grid", "25", "--eps-grid", "1/5",
+        "--format", "csv", "--out", str(out),
+    ]) == 0
+    assert out.read_text().splitlines()[1].startswith("25,1/5,small-q,")
+    assert main([
+        "experiment", "corollary", "--variant", "large-q", "--q", "25", "--eps", "1/5",
+        "--k", "2", "--draws", "1", "--n", "3",
+    ]) == 2
     eval_out = tmp_path / "bound.json"
     assert main([
         "bounds", "eval", "--name", "gaussian-max",
@@ -278,12 +288,19 @@ def test_usage_errors(rs_path, tmp_path):
     ):
         err = _usage_error(argv)
         assert err.startswith("error: ") and err.count("\n") == 1
-    # an eps whose square underflows, and ranges whose squared widths overflow
+    # an eps or eta whose square underflows, a q that overflows a float, ranges
+    # whose squared widths overflow, and negative seeds
     for argv, param in (
         (["bounds", "eval", "--name", "blocklength", "--params",
           '{"eps": 1e-300, "k": 2, "q": 2, "variant": "small-q"}'], "eps"),
         (["experiment", "corollary", "--variant", "small-q", "--q", "2",
           "--eps", "1/1" + "0" * 200, "--k", "2", "--draws", "1"], "eps"),
+        (["bounds", "table", "--q-grid", "2", "--eps-grid", "1e-300"], "eps"),
+        (["bounds", "table", "--q-grid", "1" + "0" * 400, "--eps-grid", "1/4"],
+         "alphabet size"),
+        (["chain", "build", "--code", rs_path, "--list-size", "2", "--eta", "1e-300"], "eta"),
+        (["suite", "--seed", "-3"], "seed"),
+        (["chain", "mc", "--code", rs_path, "--list-size", "4", "--seed", "-1"], "seed"),
         (["bounds", "eval", "--name", "hoeffding", "--params",
           '{"ranges": [[0, 1e308], [0, 1e308]], "v": 1e308}'], "ranges"),
     ):
@@ -441,7 +458,8 @@ _bad_codes = st.one_of(
     _retyped(VALID_CODE, VALID_CODE),
     _retyped(VALID_CODE, ["provenance"]).filter(lambda d: d["provenance"] is not None),
     _wrong_values.map(lambda v: {**VALID_CODE, "field": {"q": v}}),
-    _wrong_values.filter(lambda v: v is not None).map(
+    # a negative bitmask has a degree too; -7 .. -4 pass the degree check
+    st.one_of(_wrong_values.filter(lambda v: v is not None), st.integers(-7, -1)).map(
         lambda v: {**VALID_CODE, "field": {"q": 4, "poly": v}}
     ),
 ).flatmap(lambda doc: st.sampled_from([doc, {"results": {"code": doc}}]))
@@ -469,6 +487,7 @@ def _usage_error(argv) -> str:
 
 @settings(max_examples=150, deadline=None)
 @given(doc=_bad_codes)
+@example(doc={**VALID_CODE, "field": {"q": 4, "poly": -7}})
 def test_malformed_code_documents_are_usage_errors(doc, tmp_path_factory):
     path = tmp_path_factory.mktemp("bad") / "code.json"
     path.write_text(json.dumps(doc), encoding="utf-8")

@@ -18,9 +18,13 @@ from listlab.reports import canonical_bytes
 
 SCAN_ONLY = {"budgets": {"max_subsets": 1}}
 SUBSETS_ONLY = {"budgets": {"max_received_words": 1}}
+# a heavy-sum slack small enough that every draw at level 1 fails
+CHAIN_FAIL = {"constants": {"c1": 0.01, "C5": 0.000625}}
+# heavy coordinates that shrink from all 1,024 to 4 to none over three levels
+CHAIN_DEEP = {"constants": {"c1": 0.5, "C5": 0.03125}}
 
-# argv per case; "@rs", "@had", "@scan_only" and "@subsets_only" name
-# files the fixture writes
+# argv per case; "@rs", "@had", "@had2", "@scan_only", "@subsets_only",
+# "@chain_fail" and "@chain_deep" name files the fixture writes
 CASES = {
     "field": ["field", "--q", "16"],
     "code-make": ["code", "make", "--kind", "sample-rs", "--q", "7", "--k", "2",
@@ -66,6 +70,10 @@ CASES = {
                             "--mode", "sampled", "--trials", "30", "--seed", "2"],
     "chain-build": ["chain", "build", "--code", "@had", "--list-size", "64",
                     "--eta", "0.5", "--seed", "1"],
+    "chain-build-failed": ["chain", "build", "--code", "@had", "--list-size", "64",
+                           "--eta", "0.5", "--seed", "11", "--config", "@chain_fail"],
+    "chain-build-three-levels": ["chain", "build", "--code", "@had2", "--list-size", "256",
+                                 "--eta", "0.5", "--seed", "3", "--config", "@chain_deep"],
     "chain-mc-exact": ["chain", "mc", "--code", "@rs", "--list-size", "6"],
     "chain-mc-sampled": ["chain", "mc", "--code", "@had", "--list-size", "16",
                          "--trials", "50", "--seed", "4"],
@@ -93,6 +101,8 @@ DIGESTS = {
     "bounds-eval-sampled-agreement": "f00305978bc524f132368a277b82ccbefe2d3b872aca926a133963a4da424939",
     "bounds-table": "3aed9ff1f709cf6247708610a6fad4f2be8ed3ceba6f25ef1e0fef64f5173314",
     "chain-build": "def831b92ba3434c75190783936f595a82f7023893234d4f89a964aa31cfe266",
+    "chain-build-failed": "40a5367364e2bcc5601d64669e875c42854b8c6022a44f92eac38922f703374a",
+    "chain-build-three-levels": "d15cfe328c0a52a8c30ee5f58b19426aa564887f07ae94760eab31b92e89d772",
     "chain-mc-exact": "4b20ad67699496fdfbe051dbece3b6a8b6cb6e1ec59e14f244bf35e9352ebcce",
     "chain-mc-sampled": "d7556b474b174d64ea9cbf79b8fcb766d8f65b33147f544f8c66d9cfbb5298cb",
     "chain-mc-supremum": "e33b845695576badc08d31fb20e17a3c2e08d1f57a2507f9ab58aa59157c2ef3",
@@ -135,13 +145,17 @@ CSV_DIGESTS = {
 @pytest.fixture(scope="module")
 def files(tmp_path_factory):
     root = tmp_path_factory.mktemp("golden")
-    names = ("rs", "had", "scan_only", "subsets_only")
+    names = ("rs", "had", "had2", "scan_only", "subsets_only", "chain_fail", "chain_deep")
     paths = {f"@{name}": str(root / f"{name}.json") for name in names}
     assert main(["code", "make", "--kind", "rs", "--q", "5", "--k", "2",
                  "--evals", "0,1,2,3", "--out", paths["@rs"]]) == 0
     assert main(["code", "make", "--kind", "hadamard", "--q", "3", "--k", "5",
                  "--out", paths["@had"]]) == 0
-    for name, doc in (("scan_only", SCAN_ONLY), ("subsets_only", SUBSETS_ONLY)):
+    assert main(["code", "make", "--kind", "hadamard", "--q", "2", "--k", "10",
+                 "--out", paths["@had2"]]) == 0
+    configs = {"scan_only": SCAN_ONLY, "subsets_only": SUBSETS_ONLY, "chain_fail": CHAIN_FAIL,
+               "chain_deep": CHAIN_DEEP}
+    for name, doc in configs.items():
         with open(paths[f"@{name}"], "w", encoding="utf-8") as fh:
             json.dump(doc, fh)
     return paths

@@ -440,20 +440,22 @@ def concentration_check(
         trials_used = total
     else:
         mode = "sampled"
-        rng = rng_for(seed)
-        acc1 = np.zeros(n)
-        acc2 = np.zeros(n)
-        for _ in range(trials):
-            keep = rng.random(L) < 0.5
-            s = int(keep.sum())
-            if s == 0:
-                continue
-            counts_s = plurality_counts_array(words[keep], q)[0]
-            dev = np.abs(s * counts_full / L - counts_s)
-            acc1 += dev
-            acc2 += dev**2
-        m1 = (acc1 / trials).tolist()
-        m2 = (acc2 / trials).tolist()
+        keep = rng_for(seed).random((trials, L)) < 0.5
+        # row i left out of a subset reads symbol q + i, which counts at most 1,
+        # so a nonempty subset's counts are exact; the empty one adds zero
+        keep = keep[keep.any(axis=1)]
+        fill = q + np.arange(L)[:, None]
+        step = _batch_size(q + L, n, L)
+        acc1 = acc2 = np.zeros((1, n))
+        for lo in range(0, len(keep), step):
+            part = keep[lo : lo + step]
+            counts_s = _counts_side_by_side(np.where(part[:, :, None], words, fill), q + L)
+            dev = np.abs(part.sum(axis=1)[:, None] * counts_full / L - counts_s)
+            # running sums in trial order, as one += per trial would round them
+            acc1 = np.add.accumulate(np.vstack([acc1, dev]))[-1:]
+            acc2 = np.add.accumulate(np.vstack([acc2, dev**2]))[-1:]
+        m1 = (acc1[0] / trials).tolist()
+        m2 = (acc2[0] / trials).tolist()
         trials_used = trials
 
     scale = L * log_l
@@ -540,16 +542,23 @@ def symmetrization_check(
     if trials < 2:
         raise ValueError("need at least 2 trials")
     lams = candidate_message_sets(family.field, family.k, L, n_candidates, seed)
+    # pl_j of a drawn code is pl of its parent column, so one table over the
+    # distinct drawn columns serves every trial: pilot draws first, then main
+    seeds = (seed + 1_000_003, seed)
+    draws = np.array([family.columns(s, i) for s in seeds for i in range(trials)])
+    used, where = np.unique(draws, return_inverse=True)
+    where = where.reshape(draws.shape)
+    gen = [[row[j] for j in used] for row in family.parent.generator]
+    table = _pl_matrix(LinearCode(family.field, gen), lams)
     mean_pl = np.zeros((len(lams), family.n))
-    for i in range(trials):
-        mean_pl += _pl_matrix(family.draw(seed + 1_000_003, i), lams)
+    for cols in where[:trials]:
+        mean_pl += table.take(cols, axis=1)
     mean_pl /= trials
 
-    d_vals = np.empty(trials)
-    r_vals = np.empty(trials)
-    g_vals = np.empty(trials)
-    for t in range(trials):
-        mat = _pl_matrix(family.draw(seed, t), lams)
+    d_vals, r_vals, g_vals = np.empty((3, trials))
+    for t, cols in enumerate(where[trials:]):
+        # take, not table[:, cols]: a C-ordered matrix, as BLAS rounds by layout
+        mat = table.take(cols, axis=1)
         signs = 1 - 2 * rng_for(seed, t, 1).integers(0, 2, size=family.n)
         gauss = rng_for(seed, t, 2).standard_normal(family.n)
         d_vals[t] = np.abs((mat - mean_pl).sum(axis=1)).max()

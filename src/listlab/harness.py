@@ -572,6 +572,8 @@ def invariant_suite(scope: str = "all", seed: int = 0) -> SuiteResult:
     """
     if scope != "all" and scope not in SUITE_MODULES:
         raise ValueError(f"unknown scope {scope!r}; pick all or one of {SUITE_MODULES}")
+    if seed < 0:  # every check keys numpy streams on it, which take no negatives
+        raise ValueError(f"seed must be >= 0, got {seed}")
     entries = []
     for name, module, kind, check in _REGISTRY:
         if scope != "all" and module != scope:

@@ -271,13 +271,16 @@ def hadamard_code(field: Field, k: int) -> LinearCode:
     return LinearCode(field, gen, provenance={"kind": "hadamard", "k": k})
 
 
-def sample_code(parent: LinearCode, n: int, seed: int) -> LinearCode:
-    """Keep n generator columns chosen independently uniformly WITH replacement."""
+def sample_columns(parent_n: int, n: int, seed: int) -> np.ndarray:
+    """n column indices below parent_n, drawn independently uniformly WITH replacement."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    rng = np.random.default_rng(seed)
-    idx = rng.integers(0, parent.n, size=n)
-    return _keep_columns(parent, idx, "sampled", seed)
+    return np.random.default_rng(seed).integers(0, parent_n, size=n)
+
+
+def sample_code(parent: LinearCode, n: int, seed: int) -> LinearCode:
+    """Keep the n generator columns of sample_columns(parent.n, n, seed)."""
+    return _keep_columns(parent, sample_columns(parent.n, n, seed), "sampled", seed)
 
 
 def puncture_code(parent: LinearCode, n: int, seed: int) -> LinearCode:

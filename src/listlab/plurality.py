@@ -19,7 +19,7 @@ import numpy as np
 from .config import Budgets
 from .errors import InfeasibleError
 from .galois import Field
-from .linear_code import LinearCode, full_rs_code, hadamard_code, lex_digits, sample_code
+from .linear_code import LinearCode, full_rs_code, hadamard_code, lex_digits, sample_columns
 from .reports import Record
 from .seeds import child_seed, rng_for
 
@@ -132,7 +132,7 @@ def max_agreement_sum(code: LinearCode, lam: MessageSet) -> tuple[int, tuple[int
 
 def iter_received_blocks(q: int, n: int, chunk: int = 1 << 14):
     """Yield (start_index, block) over all q^n received words in lexicographic
-    order, first coordinate most significant."""
+    order, first coordinate most significant, as fresh column-major blocks."""
     total = q**n
     # with chunk a multiple of q^r, blocks are whole runs of the last r
     # coordinates: those columns repeat one table, the others are constant
@@ -141,16 +141,14 @@ def iter_received_blocks(q: int, n: int, chunk: int = 1 << 14):
     while r < n and chunk % q ** (r + 1) == 0:
         r += 1
     run = q**r
-    tail = lex_digits(q, r, np.arange(run)).T
+    tail = lex_digits(q, r, np.arange(run))
     for start in range(0, total, chunk):
         runs = np.arange(start // run, min(start + chunk, total) // run)
-        block = np.empty((len(runs), run, n), dtype=np.int64)
-        block[:, :, n - r :] = tail
-        # column by column: broadcasting the (runs, 1, n - r) digits in one
-        # assignment copies only n - r symbols per inner loop, and is slower
-        for j, digit in enumerate(lex_digits(q, n - r, runs)):
-            block[:, :, j] = digit[:, None]
-        yield start, block.reshape(len(runs) * run, n)
+        # coordinate-major, so the two kinds of column take one broadcast each
+        block = np.empty((n, len(runs), run), dtype=np.int64)
+        block[n - r :] = tail[:, None, :]
+        block[: n - r] = lex_digits(q, n - r, runs)[:, :, None]
+        yield start, block.reshape(n, -1).T
 
 
 def agreement_block(received: np.ndarray, words: np.ndarray) -> np.ndarray:
@@ -466,10 +464,12 @@ class CodeFamily:
             raise ValueError(f"unknown family kind {kind!r}")
         self.kind = kind
 
-    def draw(self, seed: int, index: int) -> LinearCode:
+    def columns(self, seed: int, index: int) -> np.ndarray:
+        """The parent columns of draw `index`: those of
+        sample_code(parent, n, child_seed(seed, index)), or all of a fixed code."""
         if self.kind == "fixed":
-            return self.parent
-        return sample_code(self.parent, self.n, seed=child_seed(seed, index))
+            return np.arange(self.n)
+        return sample_columns(self.parent.n, self.n, child_seed(seed, index))
 
     def descriptor(self) -> dict:
         return {"kind": self.kind, "q": self.field.q, "poly": self.field.poly,

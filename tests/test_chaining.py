@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from listlab import chaining
 from listlab.bounds import ConstantsConfig
 from listlab.chaining import (
     _pl_matrix,
@@ -29,14 +30,16 @@ from listlab.chaining import (
 )
 from listlab.config import Budgets
 from listlab.galois import field_new
-from listlab.linear_code import LinearCode, hadamard_code, rs_code
+from listlab.linear_code import LinearCode, hadamard_code, rs_code, sample_code
 from listlab.plurality import (
     CodeFamily,
     MessageSet,
+    _batch_size,
     candidate_message_sets,
     plurality_counts_array,
     plurality_profile,
 )
+from listlab.seeds import child_seed, rng_for
 
 F2 = field_new(2)
 F3 = field_new(3)
@@ -292,6 +295,40 @@ def test_concentration_sampled_tracks_exact():
         assert abs(exact.first_moment[j] - sampled.first_moment[j]) <= 0.1
 
 
+def _sampled_moments_reference(code, lam, trials, seed):
+    """Half-subset moments of the sampled route, one subset per trial."""
+    words = code.encode_all(lam.messages)
+    L, q = len(lam), code.field.q
+    full = plurality_counts_array(words, q)[0]
+    rng = rng_for(seed)
+    acc1, acc2 = np.zeros(code.n), np.zeros(code.n)
+    for _ in range(trials):
+        keep = rng.random(L) < 0.5
+        s = int(keep.sum())
+        if s == 0:
+            continue
+        dev = np.abs(s * full / L - plurality_counts_array(words[keep], q)[0])
+        acc1 += dev
+        acc2 += dev**2
+    return tuple((acc1 / trials).tolist()), tuple((acc2 / trials).tolist())
+
+
+@pytest.mark.parametrize("q, k, n, L", [(2, 3, 5, 2), (5, 2, 6, 3), (16, 2, 7, 4), (3, 3, 9, 20)])
+def test_concentration_sampled_matches_trial_by_trial_reference(q, k, n, L):
+    # max_subsets=1 forces sampling at every L; at L = 2-4 empty subsets are
+    # common, and the trial counts straddle the side-by-side chunks
+    rng = np.random.default_rng(q + L)
+    code = LinearCode(field_new(q), rng.integers(0, q, size=(k, n)).tolist())
+    lam = MessageSet.from_indices(q, k, rng.choice(q**k, size=L, replace=False))
+    step = _batch_size(q + L, n, L)
+    for trials in (1, 3, step - 1, step + 1, 2 * step + 5):
+        for seed in (0, 7):
+            rep = concentration_check(code, lam, trials, seed, budgets=Budgets(max_subsets=1))
+            assert rep.mode == "sampled" and rep.trials == trials
+            want = _sampled_moments_reference(code, lam, trials, seed)
+            assert (rep.first_moment, rep.second_moment) == want
+
+
 def test_concentration_preconditions():
     code = LinearCode(F2, [[1, 1, 0]])
     with pytest.raises(ValueError):
@@ -346,6 +383,65 @@ def test_symmetrization_sampled_hadamard():
     assert rep.as_dict() == again.as_dict()
     with pytest.raises(ValueError):
         symmetrization_check(fam, L=4, trials=1)
+
+
+def _symmetrization_reference(family, L, trials, seed, n_candidates):
+    """(D, R, G) means and standard errors from a code drawn per trial, its
+    plurality vectors read off plurality_profile set by set."""
+    lams = candidate_message_sets(family.field, family.k, L, n_candidates, seed)
+
+    def pl_matrix(s, i):
+        code = family.parent
+        if family.kind != "fixed":
+            code = sample_code(family.parent, family.n, seed=child_seed(s, i))
+        return np.array([[float(v) for v in plurality_profile(code, lam).pl] for lam in lams])
+
+    mean_pl = np.zeros((len(lams), family.n))
+    for i in range(trials):
+        mean_pl += pl_matrix(seed + 1_000_003, i)
+    mean_pl /= trials
+    vals = np.empty((3, trials))
+    for t in range(trials):
+        mat = pl_matrix(seed, t)
+        signs = 1 - 2 * rng_for(seed, t, 1).integers(0, 2, size=family.n)
+        gauss = rng_for(seed, t, 2).standard_normal(family.n)
+        vals[:, t] = (
+            np.abs((mat - mean_pl).sum(axis=1)).max(),
+            np.abs(mat @ signs).max(),
+            np.abs(mat @ gauss).max(),
+        )
+    return [(float(v.mean()), float(v.std(ddof=1) / math.sqrt(trials))) for v in vals]
+
+
+@pytest.mark.parametrize("family, L", [
+    (CodeFamily("fixed", code=rs_code(F5, 2, [0, 1, 2, 3, 1])), 3),
+    (CodeFamily("sampled-rs", field=field_new(7), k=2, n=8), 4),
+    (CodeFamily("sampled-hadamard", field=F3, k=2, n=6), 4),
+    (CodeFamily("sampled-hadamard", field=F2, k=5, n=7), 3),
+])
+def test_symmetrization_matches_trial_by_trial_reference(family, L):
+    for trials, seed in ((2, 0), (17, 5), (40, 11)):
+        rep = symmetrization_check(family, L, trials=trials, seed=seed, n_candidates=4)
+        got = [(rep.deviation, rep.deviation_se), (rep.rademacher, rep.rademacher_se),
+               (rep.gaussian, rep.gaussian_se)]
+        assert got == _symmetrization_reference(family, L, trials, seed, 4)
+
+
+def test_symmetrization_table_spans_only_drawn_columns(monkeypatch):
+    # 5 pilot and 5 main draws of 6 columns each, out of 4,096 parent columns
+    family = CodeFamily("sampled-hadamard", field=F2, k=12, n=6)
+    assert family.parent.n == 4096
+    widths = []
+
+    def spy(code, lams):
+        widths.append(code.n)
+        return _pl_matrix(code, lams)
+
+    monkeypatch.setattr(chaining, "_pl_matrix", spy)
+    rep = symmetrization_check(family, 4, trials=5, seed=3, n_candidates=4)
+    assert len(widths) == 1 and widths[0] <= 2 * 5 * 6
+    monkeypatch.undo()
+    assert rep == symmetrization_check(family, 4, trials=5, seed=3, n_candidates=4)
 
 
 def test_supremum_experiment_small_hadamard():

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from listlab import harness
 from listlab.bounds import ConstantsConfig
 from listlab.chaining import gaussian_supremum_experiment
 from listlab.config import Budgets
@@ -243,6 +244,19 @@ def test_invariant_suite_scope_and_seed():
     shifted = invariant_suite("all", seed=99)
     exact_failures = [e for e in shifted.entries if e.kind == "exact" and not e.passed]
     assert exact_failures == []
+
+
+def test_invariant_suite_refuses_a_negative_seed(monkeypatch):
+    # refused up front: a check keyed on a negative seed would raise inside
+    # numpy and be reported as a failed entry
+    seen = []
+    spy = ("spy", "chaining", "exact", lambda seed: (seen.append(seed) or True, ""))
+    monkeypatch.setattr(harness, "_REGISTRY", [spy])
+    for scope, seed in (("chaining", -3), ("all", -1)):
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            invariant_suite(scope, seed=seed)
+    assert seen == []
+    assert invariant_suite("chaining", seed=0).passed and seen == [0]
 
 
 @pytest.mark.parametrize("kind, attr, wrong", [

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from listlab.config import Budgets
 from listlab.galois import field_new
-from listlab.linear_code import LinearCode, full_rs_code, hadamard_code
+from listlab.linear_code import LinearCode, full_rs_code, hadamard_code, sample_code
 from listlab.plurality import (
     CodeFamily,
     MassResult,
@@ -29,7 +29,7 @@ from listlab.plurality import (
     plurality_profile,
     top_agreement_scan,
 )
-from listlab.seeds import rng_for
+from listlab.seeds import child_seed, rng_for
 
 
 def _random_code(rng, q, k, n):
@@ -377,11 +377,16 @@ def test_candidate_sets_deterministic_and_valid():
     assert [tuple(s) for s in a] != [tuple(s) for s in c]
 
 
-def test_family_draws_reproducible():
-    fam = CodeFamily("sampled-hadamard", field=field_new(3), k=2, n=7)
-    a = fam.draw(seed=5, index=2)
-    b = fam.draw(seed=5, index=2)
-    c = fam.draw(seed=5, index=3)
-    assert a.generator == b.generator
-    assert a.generator != c.generator
-    assert a.provenance["parent"]["kind"] == "hadamard"
+def test_family_columns_reproducible():
+    # a sampled family's draw i is sample_code's draw under child_seed(seed, i);
+    # a fixed family always draws all of its code's columns
+    for kind in ("sampled-rs", "sampled-hadamard"):
+        fam = CodeFamily(kind, field=field_new(3), k=2, n=7)
+        for seed, index in ((5, 2), (5, 3), (0, 0)):
+            cols = fam.columns(seed, index)
+            assert cols.tolist() == fam.columns(seed, index).tolist()
+            code = sample_code(fam.parent, 7, seed=child_seed(seed, index))
+            assert cols.tolist() == code.provenance["columns"]
+        assert fam.columns(5, 2).tolist() != fam.columns(5, 3).tolist()
+    fixed = CodeFamily("fixed", code=full_rs_code(field_new(5), 2))
+    assert fixed.columns(5, 2).tolist() == list(range(5))

@@ -12,6 +12,7 @@ from calculus, not from counting).
 
 from __future__ import annotations
 
+import contextlib
 import math
 import sys
 from dataclasses import dataclass, fields
@@ -308,7 +309,7 @@ def gaussian_max_bound(sigma: float, n: int) -> float:
 # each named bound: the parameters it requires and its evaluator; "variant"
 # is a string, "ranges" a list of (a, b) pairs, the sizes in _INT_PARAMS
 # integers (an alphabet size q at least 2), and every other parameter a real
-# number
+# number or a fraction string such as "1/7"
 _BOUNDS = {
     "entropy": (("q", "x"), lambda p, cfg: q_ary_entropy(p["q"], p["x"])),
     "capacity": (("q", "eps"), lambda p, cfg: capacity_rate(p["q"], p["eps"])),
@@ -350,6 +351,12 @@ def _is_real(v) -> bool:
 _INT_PARAMS = frozenset(("q", "n", "L", "N", "k"))
 
 
+def _real(v):
+    """A real param as evaluated: a fraction string is its Fraction, or None."""
+    with contextlib.suppress(ValueError, ZeroDivisionError):
+        return Fraction(v) if isinstance(v, str) else v
+
+
 def _param_ok(key: str, v) -> bool:
     if key in _INT_PARAMS:
         return _is_real(v) and isinstance(v, int) and (key != "q" or v >= 2)
@@ -359,7 +366,7 @@ def _param_ok(key: str, v) -> bool:
         return isinstance(v, (list, tuple)) and all(
             isinstance(r, (list, tuple)) and len(r) == 2 and all(map(_is_real, r)) for r in v
         )
-    return _is_real(v)
+    return _is_real(_real(v))
 
 
 def _check_params(name: str, params) -> None:
@@ -382,5 +389,5 @@ def evaluate_bound(name: str, params: dict, cfg: ConstantsConfig = ConstantsConf
         raise ValueError(f"unknown bound {name!r}")
     _check_params(name, params)
     p = dict(params)
-    value = _BOUNDS[name][1](p, cfg)
+    value = _BOUNDS[name][1]({k: v if k == "variant" else _real(v) for k, v in p.items()}, cfg)
     return BoundReport(name, p, float(value))

@@ -548,8 +548,7 @@ def symmetrization_check(
     draws = np.array([family.columns(s, i) for s in seeds for i in range(trials)])
     used, where = np.unique(draws, return_inverse=True)
     where = where.reshape(draws.shape)
-    gen = [[row[j] for j in used] for row in family.parent.generator]
-    table = _pl_matrix(LinearCode(family.field, gen), lams)
+    table = _pl_matrix(family.code_on(used), lams)
     mean_pl = np.zeros((len(lams), family.n))
     for cols in where[:trials]:
         mean_pl += table.take(cols, axis=1)

@@ -20,7 +20,7 @@ from .errors import InfeasibleError
 from .galois import Field, field_new
 from .reports import require_keys
 
-# a fixed size cap on hadamard_code, which builds all q^k columns
+# a fixed size cap on Hadamard parents of q^k columns, which hadamard_code builds
 MAX_HADAMARD_COLUMNS = 1 << 20
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from .config import Budgets
 from .errors import InfeasibleError
 from .galois import Field
-from .linear_code import LinearCode, full_rs_code, hadamard_code, lex_digits, sample_columns
+from .linear_code import MAX_HADAMARD_COLUMNS, LinearCode, lex_digits, rs_code, sample_columns
 from .reports import Record
 from .seeds import child_seed, rng_for
 
@@ -372,6 +372,20 @@ def _greedy_rows(words: np.ndarray, q: int, L: int) -> np.ndarray:
     return np.nonzero(taken)[0]
 
 
+def _distinct_draws(rng: np.random.Generator, N: int, L: int, T: int) -> np.ndarray:
+    """(T, L) rows equal to T successive np.sort(rng.choice(N, L, replace=False)),
+    rng left in the same state: one integers call makes choice's Floyd draws,
+    from [0, j] for j = N - L .. N - 1 and then (for its shuffle) from [0, i]
+    for i = L - 1 .. 1, and Floyd's rule, a taken draw becomes j, runs per column."""
+    if L > 64 or (N > 10_000 and L > N // 50):  # long sets, or numpy's tail shuffle
+        return np.sort([rng.choice(N, size=L, replace=False) for _ in range(T)])
+    draws = rng.integers(0, np.r_[N - L + 1 : N + 1, L:1:-1], size=(T, 2 * L - 1))[:, :L]
+    for c in range(1, L):
+        taken = (draws[:, :c] == draws[:, c, None]).any(axis=1)
+        draws[taken, c] = N - L + c
+    return np.sort(draws)
+
+
 def _mass_result(words, rows, q, exact, mode, route) -> MassResult:
     """MassResult of the codeword set words[rows], with its plurality word as
     the witness received word."""
@@ -422,10 +436,7 @@ def plurality_mass(
         chunk = _batch_size(q, words.shape[1], L)
         best_val, best_rows = -1, None
         for lo in range(0, trials, chunk):
-            # one sort per chunk orders each trial's rows as a per-trial sort would
-            draws = np.sort([
-                rng.choice(n_words, size=L, replace=False) for _ in range(min(chunk, trials - lo))
-            ])
+            draws = _distinct_draws(rng, n_words, L, min(chunk, trials - lo))
             totals = _counts_side_by_side(words[draws], q).sum(axis=1)
             # argmax is the chunk's first maximum; a later chunk must beat it strictly
             t = int(totals.argmax())
@@ -446,39 +457,41 @@ class CodeFamily:
 
     def __init__(self, kind: str, *, field: Field | None = None, k: int | None = None,
                  n: int | None = None, code: LinearCode | None = None):
-        if kind in ("sampled-rs", "sampled-hadamard"):
-            if field is None or k is None or n is None:
-                raise ValueError("sampled families need field, k, and n")
-            self.parent = full_rs_code(field, k) if kind == "sampled-rs" else hadamard_code(field, k)
-            self.field = field
-            self.k = k
-            self.n = n
-        elif kind == "fixed":
+        if kind == "fixed":
             if code is None:
                 raise ValueError("fixed family needs a code")
-            self.parent = code
-            self.field = code.field
-            self.k = code.k
-            self.n = code.n
-        else:
+            field, k, n, self._fixed = code.field, code.k, code.n, code
+        elif kind not in ("sampled-rs", "sampled-hadamard"):
             raise ValueError(f"unknown family kind {kind!r}")
-        self.kind = kind
+        elif field is None or k is None or n is None:
+            raise ValueError("sampled families need field, k, and n")
+        self.kind, self.field, self.k, self.n = kind, field, k, n
+        self.parent_n = {"sampled-rs": field.q, "sampled-hadamard": field.q**k}.get(kind, n)
+        if kind == "sampled-hadamard" and self.parent_n > MAX_HADAMARD_COLUMNS:
+            raise InfeasibleError(f"hadamard code needs {self.parent_n} columns, "
+                                  f"budget {MAX_HADAMARD_COLUMNS}")
+        self.code_on([0])  # a bad k raises here, as building the whole parent did
+
+    def code_on(self, cols) -> LinearCode:
+        """The code on the parent columns `cols`, in order, built without the rest."""
+        if self.kind == "sampled-rs":
+            return rs_code(self.field, self.k, cols)
+        if self.kind == "sampled-hadamard":
+            return LinearCode(self.field, lex_digits(self.field.q, self.k, cols).tolist())
+        return LinearCode(self.field, np.array(self._fixed.generator)[:, cols].tolist())
 
     def columns(self, seed: int, index: int) -> np.ndarray:
-        """The parent columns of draw `index`: those of
-        sample_code(parent, n, child_seed(seed, index)), or all of a fixed code."""
+        """Draw `index`'s parent columns: sample_columns(parent_n, n, child_seed(seed, index))."""
         if self.kind == "fixed":
             return np.arange(self.n)
-        return sample_columns(self.parent.n, self.n, child_seed(seed, index))
+        return sample_columns(self.parent_n, self.n, child_seed(seed, index))
 
     def descriptor(self) -> dict:
         return {"kind": self.kind, "q": self.field.q, "poly": self.field.poly,
                 "k": self.k, "n": self.n}
 
 
-def _sample_distinct(rng: np.random.Generator, total: int, count: int) -> list[int]:
-    if total <= 1 << 22:
-        return sorted(int(i) for i in rng.choice(total, size=count, replace=False))
+def _distinct_by_rejection(rng: np.random.Generator, total: int, count: int) -> list[int]:
     picked: set[int] = set()
     while len(picked) < count:
         picked.add(int(rng.integers(0, total)))
@@ -513,11 +526,9 @@ def candidate_message_sets(field: Field, k: int, L: int, count: int, seed: int) 
     box = np.zeros((L, k), dtype=np.int64)
     box[:, :j] = lex_digits(q, j, np.arange(L)).T
     out.append(MessageSet(box.tolist()))
-    n_shifts = min(2, max(0, count - 1))
-    for _ in range(n_shifts):
-        shift = lex_digits(q, k, int(rng.integers(0, total)))[:, 0]
+    for shift in lex_digits(q, k, rng.integers(0, total, size=min(2, count - 1))).T:
         out.append(MessageSet(field.add_array(box, shift).tolist()))
 
-    while len(out) < count:
-        out.append(MessageSet.from_indices(q, k, _sample_distinct(rng, total, L)))
-    return out[:count]
+    rows = (_distinct_draws(rng, total, L, count - len(out)) if total <= 1 << 22
+            else [_distinct_by_rejection(rng, total, L) for _ in range(count - len(out))])
+    return out + [MessageSet.from_indices(q, k, r) for r in rows]

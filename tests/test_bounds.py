@@ -276,6 +276,17 @@ def test_evaluate_bound_dispatcher():
         assert math.isfinite(report.value)
         assert dict(report.inputs) == params
     assert evaluate_bound("blocklength", cases["blocklength"]).value == 100000.0
+    # a fraction string is the exact real: eps = 1/7 sizes the corollary's n,
+    # which the nearest float, just below 1/7, does not
+    exact = {"q": 8, "eps": "1/7", "variant": "small-q", "k": 2}
+    report = evaluate_bound("blocklength", exact)
+    assert report.value == decodable_blocklength(8, Fraction(1, 7), "small-q", 2) == 531868.0
+    assert dict(report.inputs) == exact
+    assert evaluate_bound("blocklength", {**exact, "eps": 1 / 7}).value == 537782.0
+    assert evaluate_bound("entropy", {"q": 3, "x": "1/2"}).value == q_ary_entropy(3, 0.5)
+    for bad in ("abc", "1/0", "nan", "inf", "1e400", ""):
+        with pytest.raises(ValueError, match="invalid eps"):
+            evaluate_bound("blocklength", {**exact, "eps": bad})
     with pytest.raises(ValueError):
         evaluate_bound("sharpest", {})
     with pytest.raises(ValueError):

@@ -30,7 +30,7 @@ from listlab.chaining import (
 )
 from listlab.config import Budgets
 from listlab.galois import field_new
-from listlab.linear_code import LinearCode, hadamard_code, rs_code, sample_code
+from listlab.linear_code import LinearCode, full_rs_code, hadamard_code, rs_code, sample_code
 from listlab.plurality import (
     CodeFamily,
     MessageSet,
@@ -386,14 +386,19 @@ def test_symmetrization_sampled_hadamard():
 
 
 def _symmetrization_reference(family, L, trials, seed, n_candidates):
-    """(D, R, G) means and standard errors from a code drawn per trial, its
-    plurality vectors read off plurality_profile set by set."""
+    """(D, R, G) means and standard errors from a code drawn per trial out of
+    the whole parent, its plurality vectors read off plurality_profile set by set."""
+    if family.kind == "fixed":
+        parent = family.code_on(range(family.n))
+    else:
+        parent = (full_rs_code if family.kind == "sampled-rs" else hadamard_code)(
+            family.field, family.k)
     lams = candidate_message_sets(family.field, family.k, L, n_candidates, seed)
 
     def pl_matrix(s, i):
-        code = family.parent
+        code = parent
         if family.kind != "fixed":
-            code = sample_code(family.parent, family.n, seed=child_seed(s, i))
+            code = sample_code(parent, family.n, seed=child_seed(s, i))
         return np.array([[float(v) for v in plurality_profile(code, lam).pl] for lam in lams])
 
     mean_pl = np.zeros((len(lams), family.n))
@@ -430,7 +435,7 @@ def test_symmetrization_matches_trial_by_trial_reference(family, L):
 def test_symmetrization_table_spans_only_drawn_columns(monkeypatch):
     # 5 pilot and 5 main draws of 6 columns each, out of 4,096 parent columns
     family = CodeFamily("sampled-hadamard", field=F2, k=12, n=6)
-    assert family.parent.n == 4096
+    assert family.parent_n == 4096
     widths = []
 
     def spy(code, lams):

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from listlab import cli
+from listlab.bounds import _real
 from listlab.cli import main
 from listlab.oracle import certificate_from_json_dict
 from listlab.reports import REPO_CSV_COLUMNS, canonical_bytes
@@ -470,7 +471,9 @@ _bad_params = st.sampled_from(sorted(VALID_PARAMS)).flatmap(
         st.one_of(
             _non_objects,
             _without(VALID_PARAMS[name]),
-            _retyped(VALID_PARAMS[name], VALID_PARAMS[name], _non_numbers),
+            # a fraction string is a real number too
+            _retyped(VALID_PARAMS[name], VALID_PARAMS[name], _non_numbers.filter(
+                lambda v: not isinstance(v, str) or _real(v) is None)),
         ),
     )
 )
@@ -493,6 +496,17 @@ def test_malformed_code_documents_are_usage_errors(doc, tmp_path_factory):
     path.write_text(json.dumps(doc), encoding="utf-8")
     err = _usage_error(["code", "info", "--code", str(path)])
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_bounds_eval_fraction_string(tmp_path):
+    out = tmp_path / "b.json"
+    params = '{"q": 8, "eps": "1/7", "variant": "small-q", "k": 2}'
+    assert main(["bounds", "eval", "--name", "blocklength", "--params", params,
+                 "--out", str(out)]) == 0
+    assert read(out)["results"]["bound"]["value"] == 531868.0
+    err = _usage_error(["bounds", "eval", "--name", "blocklength", "--params",
+                        params.replace("1/7", "1/x")])
+    assert err == "error: bound 'blocklength' got an invalid eps: '1/x'\n"
 
 
 @settings(max_examples=150, deadline=None)

@@ -11,13 +11,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from listlab.config import Budgets
+from listlab.errors import InfeasibleError
 from listlab.galois import field_new
-from listlab.linear_code import LinearCode, full_rs_code, hadamard_code, sample_code
+from listlab.linear_code import LinearCode, full_rs_code, hadamard_code, lex_digits, sample_code
 from listlab.plurality import (
     CodeFamily,
     MassResult,
     MessageSet,
     _batch_size,
+    _distinct_draws,
     _mass_by_subsets,
     agreement,
     agreement_block,
@@ -377,16 +379,66 @@ def test_candidate_sets_deterministic_and_valid():
     assert [tuple(s) for s in a] != [tuple(s) for s in c]
 
 
+def test_candidate_sets_match_per_set_choice():
+    # the box, two shifts each drawn by one rng.integers call, then random
+    # sets each drawn by one sorted rng.choice call, in turn from one stream
+    f = field_new(3)
+    for seed in range(20):
+        got = candidate_message_sets(f, 3, L=5, count=9, seed=seed)
+        rng = rng_for(seed, 0xC0DE)
+        box = np.array(got[0].messages)
+        shifts = [lex_digits(3, 3, int(rng.integers(0, 27)))[:, 0] for _ in range(2)]
+        want = [MessageSet(f.add_array(box, s).tolist()) for s in shifts]
+        want += [MessageSet.from_indices(3, 3, np.sort(rng.choice(27, size=5, replace=False)))
+                 for _ in range(6)]
+        assert got[1:] == want
+
+
+# (N, L, T): L = 1 and L = N; T across several side-by-side chunks; bounds
+# past 2^32 with frequent rejections, and on the 64-bit path; the longest sets
+# drawn column by column and the shortest left to choice; numpy's tail shuffle
+DISTINCT_SHAPES = [
+    (9, 1, 4), (7, 7, 4), (1, 1, 2),
+    (256, 6, 2 * _batch_size(16, 12, 6) + 1),
+    (3 * 10**9, 5, 20), (2**33, 4, 20),
+    (1000, 64, 5), (4096, 65, 3), (10001, 201, 3), (20000, 500, 3),
+]
+
+
+@pytest.mark.parametrize("N, L, T", DISTINCT_SHAPES)
+def test_distinct_draws_match_per_trial_choice(N, L, T):
+    for seed in range(100):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = _distinct_draws(rng, N, L, T)
+        want = [np.sort(ref.choice(N, size=L, replace=False)) for _ in range(T)]
+        assert got.shape == (T, L) and (got == np.array(want)).all()
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
 def test_family_columns_reproducible():
-    # a sampled family's draw i is sample_code's draw under child_seed(seed, i);
-    # a fixed family always draws all of its code's columns
-    for kind in ("sampled-rs", "sampled-hadamard"):
+    # a sampled family's draw i is sample_code's draw under child_seed(seed, i),
+    # and its code is that draw of the whole parent; a fixed family always
+    # draws all of its code's columns
+    for kind, parent in (("sampled-rs", full_rs_code(field_new(3), 2)),
+                         ("sampled-hadamard", hadamard_code(field_new(3), 2))):
         fam = CodeFamily(kind, field=field_new(3), k=2, n=7)
+        assert fam.parent_n == parent.n
         for seed, index in ((5, 2), (5, 3), (0, 0)):
             cols = fam.columns(seed, index)
             assert cols.tolist() == fam.columns(seed, index).tolist()
-            code = sample_code(fam.parent, 7, seed=child_seed(seed, index))
+            code = sample_code(parent, 7, seed=child_seed(seed, index))
             assert cols.tolist() == code.provenance["columns"]
+            assert fam.code_on(cols).generator == code.generator
         assert fam.columns(5, 2).tolist() != fam.columns(5, 3).tolist()
     fixed = CodeFamily("fixed", code=full_rs_code(field_new(5), 2))
     assert fixed.columns(5, 2).tolist() == list(range(5))
+    assert fixed.code_on([4, 0]).generator == ((1, 1), (4, 0))
+
+
+def test_family_hadamard_cap_and_bad_k_refused_up_front():
+    with pytest.raises(InfeasibleError, match="hadamard code needs 2097152 columns, budget"):
+        CodeFamily("sampled-hadamard", field=field_new(2), k=21, n=4)
+    with pytest.raises(ValueError):
+        CodeFamily("sampled-rs", field=field_new(3), k=4, n=4)
+    with pytest.raises(ValueError):
+        CodeFamily("sampled-hadamard", field=field_new(3), k=0, n=4)

@@ -37,7 +37,7 @@ from .plurality import (
     plurality_profile,
 )
 from .reports import Record
-from .seeds import rng_for
+from .seeds import rng_for, streams
 
 DEFAULT_RETRY_LIMIT = 200
 # draws of the sampled plurality mass that stands in for an infeasible exact Q
@@ -354,9 +354,8 @@ def gaussian_process_sample(
             weights[i, j] = float(pl[j])
         exact.append(sum((pl[j] ** 2 for j in cs), Fraction(0)))
     samples = np.empty((trials, len(pairs)))
-    for t in range(trials):
-        g = rng_for(seed, t).standard_normal(n)
-        samples[t] = weights @ g
+    for t, rng in enumerate(streams((seed, t) for t in range(trials))):
+        samples[t] = weights @ rng.standard_normal(n)
     return GaussianSampleReport(
         trials=trials,
         pair_count=len(pairs),
@@ -544,8 +543,7 @@ def symmetrization_check(
     lams = candidate_message_sets(family.field, family.k, L, n_candidates, seed)
     # pl_j of a drawn code is pl of its parent column, so one table over the
     # distinct drawn columns serves every trial: pilot draws first, then main
-    seeds = (seed + 1_000_003, seed)
-    draws = np.array([family.columns(s, i) for s in seeds for i in range(trials)])
+    draws = np.vstack([family.columns(s, range(trials)) for s in (seed + 1_000_003, seed)])
     used, where = np.unique(draws, return_inverse=True)
     where = where.reshape(draws.shape)
     table = _pl_matrix(family.code_on(used), lams)
@@ -555,11 +553,13 @@ def symmetrization_check(
     mean_pl /= trials
 
     d_vals, r_vals, g_vals = np.empty((3, trials))
+    # trial t's signs and normals come from rng_for(seed, t, 1) and (seed, t, 2)
+    rngs = streams((seed, t, s) for t in range(trials) for s in (1, 2))
     for t, cols in enumerate(where[trials:]):
         # take, not table[:, cols]: a C-ordered matrix, as BLAS rounds by layout
         mat = table.take(cols, axis=1)
-        signs = 1 - 2 * rng_for(seed, t, 1).integers(0, 2, size=family.n)
-        gauss = rng_for(seed, t, 2).standard_normal(family.n)
+        signs = 1 - 2 * next(rngs).integers(0, 2, size=family.n)
+        gauss = next(rngs).standard_normal(family.n)
         d_vals[t] = np.abs((mat - mean_pl).sum(axis=1)).max()
         r_vals[t] = np.abs(mat @ signs).max()
         g_vals[t] = np.abs(mat @ gauss).max()

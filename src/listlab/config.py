@@ -17,6 +17,7 @@ from .errors import InfeasibleError
 from .reports import Record, read_section
 
 DEFAULT_ETA_RULE = "1/log2(L)"
+MAX_SCAN_LENGTH = 53  # the longest n with exact packed scan histograms (plurality._part_size)
 
 
 @dataclass(frozen=True)
@@ -61,20 +62,22 @@ class Budgets(Record):
 
     def mass_route(self, code, L: int, *, sampled: bool = False) -> str:
         """Route of a plurality mass of `code` at list size L: "scan" when its
-        q^n * N comparisons fit max_received_words and cost no more than the
-        C(N, L) subsets or those are over max_subsets, else "subsets". Over
-        both budgets: "sampled" if the caller allows it, else InfeasibleError.
-        The caller charges max_codewords itself (a vacuous query never does)."""
+        q^n * N comparisons fit max_received_words, n is at most
+        MAX_SCAN_LENGTH, and it costs no more than the C(N, L) subsets or
+        those are over max_subsets, else "subsets". Over both budgets:
+        "sampled" if the caller allows it, else InfeasibleError. The caller
+        charges max_codewords itself (a vacuous query never does)."""
         scan_cost = self.scan_cost(code)
         subset_count = math.comb(code.size, L)
-        scan_ok = scan_cost <= self.max_received_words
+        scan_ok = scan_cost <= self.max_received_words and code.n <= MAX_SCAN_LENGTH
         subsets_ok = subset_count <= self.max_subsets
         if not scan_ok and not subsets_ok:
             if sampled:
                 return "sampled"
+            past = f" at length {code.n} > {MAX_SCAN_LENGTH}" if code.n > MAX_SCAN_LENGTH else ""
             raise InfeasibleError(
-                f"exact mass needs a scan of {scan_cost} comparisons or {subset_count} subsets; "
-                f"budgets are {self.max_received_words} and {self.max_subsets}"
+                f"exact mass needs a scan of {scan_cost} comparisons{past} or {subset_count} "
+                f"subsets; budgets are {self.max_received_words} and {self.max_subsets}"
             )
         return "scan" if scan_ok and (not subsets_ok or scan_cost <= subset_count) else "subsets"
 

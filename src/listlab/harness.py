@@ -40,7 +40,6 @@ from .linear_code import (
     LinearCode,
     code_from_json,
     code_to_json,
-    full_rs_code,
     hadamard_code,
     rs_code,
     sample_code,
@@ -138,9 +137,9 @@ def experiment_corollary(
     else:
         raise ValueError(f"unknown variant {variant!r}")
     L = corollary_list_size(variant, eps)
-    field_obj = field_new(q)
     n = n_override if n_override is not None else decodable_blocklength(q, eps, variant, k, cfg)
-    parent = hadamard_code(field_obj, k) if variant == SMALL_Q else full_rs_code(field_obj, k)
+    kind = "sampled-hadamard" if variant == SMALL_Q else "sampled-rs"
+    family = CodeFamily(kind, field=field_new(q), k=k, n=n)
     degenerate_radius = rho_raw < 0
     rho = Fraction(max(rho_raw, 0.0))
     query = ListDecQuery(rho, L, AVERAGE_RADIUS)
@@ -149,7 +148,7 @@ def experiment_corollary(
     oracle_mode = "exhaustive"
     verdicts = []
     for i in range(draws):
-        code = sample_code(parent, n, seed=child_seed(seed, i))
+        code = family.code_on(family.columns(seed, [i])[0])
         if allow_sampled and budgets.mass_route(code, L + 1, sampled=True) == "sampled":
             oracle_mode = "sampled"
             mass = plurality_mass(
@@ -237,20 +236,19 @@ def experiment_beyond_johnson(
     """
     if n_seeds < 1:
         raise ValueError("need at least one seed")
-    field_obj = field_new(q)
-    parent = full_rs_code(field_obj, k)
+    family = CodeFamily("sampled-rs", field=field_new(q), k=k, n=n)
 
     def one_pass() -> list[dict]:
         rows = []
-        for s in range(n_seeds):
-            code = sample_code(parent, n, seed=child_seed(seed, s))
+        for s, cols in enumerate(family.columns(seed, range(n_seeds))):
+            code = family.code_on(cols)
             profile = decoding_radius_profile(code, l_cap, budgets=budgets)
             delta = code.min_distance_exact(budgets=budgets)
             johnson, clamped = johnson_radius_from_distance(q, delta)
             row = {
                 "seed_index": s,
                 # the full-RS parent evaluates its column c at the point c
-                "evaluation_points": list(code.provenance["columns"]),
+                "evaluation_points": cols.tolist(),
                 "distance": str(delta),
                 "johnson_radius": johnson,
                 "johnson_clamped": clamped,

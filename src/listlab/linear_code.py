@@ -19,6 +19,7 @@ from .config import Budgets
 from .errors import InfeasibleError
 from .galois import Field, field_new
 from .reports import require_keys
+from .seeds import rng_for
 
 # a fixed size cap on Hadamard parents of q^k columns, which hadamard_code builds
 MAX_HADAMARD_COLUMNS = 1 << 20
@@ -271,24 +272,18 @@ def hadamard_code(field: Field, k: int) -> LinearCode:
     return LinearCode(field, gen, provenance={"kind": "hadamard", "k": k})
 
 
-def sample_columns(parent_n: int, n: int, seed: int) -> np.ndarray:
-    """n column indices below parent_n, drawn independently uniformly WITH replacement."""
+def sample_code(parent: LinearCode, n: int, seed: int) -> LinearCode:
+    """Keep n generator columns drawn independently uniformly WITH replacement."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return np.random.default_rng(seed).integers(0, parent_n, size=n)
-
-
-def sample_code(parent: LinearCode, n: int, seed: int) -> LinearCode:
-    """Keep the n generator columns of sample_columns(parent.n, n, seed)."""
-    return _keep_columns(parent, sample_columns(parent.n, n, seed), "sampled", seed)
+    return _keep_columns(parent, rng_for(seed).integers(0, parent.n, size=n), "sampled", seed)
 
 
 def puncture_code(parent: LinearCode, n: int, seed: int) -> LinearCode:
     """Keep n distinct generator columns chosen uniformly WITHOUT replacement."""
     if not 1 <= n <= parent.n:
         raise ValueError(f"n must be in [1, {parent.n}]")
-    rng = np.random.default_rng(seed)
-    idx = rng.choice(parent.n, size=n, replace=False)
+    idx = rng_for(seed).choice(parent.n, size=n, replace=False)
     return _keep_columns(parent, idx, "punctured", seed)
 
 

@@ -19,9 +19,9 @@ import numpy as np
 from .config import Budgets
 from .errors import InfeasibleError
 from .galois import Field
-from .linear_code import MAX_HADAMARD_COLUMNS, LinearCode, lex_digits, rs_code, sample_columns
+from .linear_code import MAX_HADAMARD_COLUMNS, LinearCode, lex_digits, rs_code
 from .reports import Record
-from .seeds import child_seed, rng_for
+from .seeds import child_seeds, rng_for, streams
 
 
 def agreement(x, y) -> int:
@@ -83,17 +83,17 @@ def plurality_profile(code: LinearCode, lam: MessageSet) -> PluralityProfile:
 
 
 def plurality_counts_array(words: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
-    """(plurality counts, smallest maximizing symbol) per coordinate.
-
-    words is an (L, n) integer array over [0, q). One bincount over
-    words[i, j] + q*j tallies every (coordinate, symbol) pair in O(L*n + q*n)
-    memory; ties resolve to the smallest symbol because argmax returns the
-    first maximum.
-    """
-    n = words.shape[1]
-    keys = (words + q * np.arange(n)).ravel()
-    symbol_counts = np.bincount(keys, minlength=q * n).reshape(n, q)
+    """(plurality counts, smallest maximizing symbol) per coordinate of an
+    (L, n) integer array over [0, q); argmax's first maximum breaks ties."""
+    symbol_counts = _symbol_counts(words, q)
     return symbol_counts.max(axis=1), symbol_counts.argmax(axis=1)
+
+
+def _symbol_counts(words: np.ndarray, q: int) -> np.ndarray:
+    """(n, q) count of each symbol at each coordinate of the (L, n) words: one
+    bincount over words[i, j] + q*j, in O(L*n + q*n) memory."""
+    n = words.shape[1]
+    return np.bincount((words + q * np.arange(n)).ravel(), minlength=q * n).reshape(n, q)
 
 
 # side-by-side batches of codeword sets keep their temporaries (words, keys and
@@ -110,10 +110,10 @@ def _counts_side_by_side(sets: np.ndarray, q: int) -> np.ndarray:
     """(m, n) plurality counts of m codeword sets given as an (m, L, n) array.
 
     The sets are laid side by side as one (L, m*n) word array, so one
-    plurality_counts_array call counts them all: column block i holds set i.
+    bincount counts them all: column block i holds set i.
     """
     m, L, n = sets.shape
-    return plurality_counts_array(sets.transpose(1, 0, 2).reshape(L, m * n), q)[0].reshape(m, n)
+    return _symbol_counts(sets.transpose(1, 0, 2).reshape(L, m * n), q).max(axis=1).reshape(m, n)
 
 
 def max_agreement_sum(code: LinearCode, lam: MessageSet) -> tuple[int, tuple[int, ...]]:
@@ -206,10 +206,10 @@ def _agreement_tails(words: np.ndarray, q: int, levels):
     until the next block is drawn.
     """
     n_words, n = words.shape
+    n_parts = -(-n_words // _part_size(n))  # first: it refuses a length past the limit
     pre = n - n // 2
     n_suf = q ** (n // 2)
     suffixes = lex_digits(q, n // 2, np.arange(n_suf)).T
-    n_parts = -(-n_words // _part_size(n))
     m = -(-n_words // n_parts)
     b = m.bit_length()
     digit = (1 << b) - 1
@@ -463,8 +463,8 @@ class CodeFamily:
             field, k, n, self._fixed = code.field, code.k, code.n, code
         elif kind not in ("sampled-rs", "sampled-hadamard"):
             raise ValueError(f"unknown family kind {kind!r}")
-        elif field is None or k is None or n is None:
-            raise ValueError("sampled families need field, k, and n")
+        elif field is None or k is None or n is None or n < 1:
+            raise ValueError("sampled families need field, k, and n >= 1")
         self.kind, self.field, self.k, self.n = kind, field, k, n
         self.parent_n = {"sampled-rs": field.q, "sampled-hadamard": field.q**k}.get(kind, n)
         if kind == "sampled-hadamard" and self.parent_n > MAX_HADAMARD_COLUMNS:
@@ -480,11 +480,14 @@ class CodeFamily:
             return LinearCode(self.field, lex_digits(self.field.q, self.k, cols).tolist())
         return LinearCode(self.field, np.array(self._fixed.generator)[:, cols].tolist())
 
-    def columns(self, seed: int, index: int) -> np.ndarray:
-        """Draw `index`'s parent columns: sample_columns(parent_n, n, child_seed(seed, index))."""
+    def columns(self, seed: int, indices) -> np.ndarray:
+        """(len(indices), n) parent columns, row i the columns that
+        sample_code(parent, n, child_seed(seed, indices[i])) keeps."""
+        keys = [(seed, i) for i in indices]
         if self.kind == "fixed":
-            return np.arange(self.n)
-        return sample_columns(self.parent_n, self.n, child_seed(seed, index))
+            return np.tile(np.arange(self.n), (len(keys), 1))
+        rngs = streams((c,) for c in child_seeds(keys))
+        return np.array([rng.integers(0, self.parent_n, size=self.n) for rng in rngs])
 
     def descriptor(self) -> dict:
         return {"kind": self.kind, "q": self.field.q, "poly": self.field.poly,

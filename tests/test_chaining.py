@@ -101,6 +101,20 @@ def test_gaussian_sample_empty_coords_is_zero():
     assert rep.mean_abs_max == 0.0
 
 
+@pytest.mark.parametrize("seed", [0, 9, 2**64 - 1, 2**70 + 1])
+def test_gaussian_sample_matches_per_trial_streams(seed):
+    # trial t's normals come from rng_for(seed, t), whichever way it is derived
+    rs = rs_code(F5, 2, [0, 1, 2, 3])
+    pairs = [((0, 1, 2, 3), MessageSet(((1, 2),))), ((0, 2), MessageSet(((1, 2), (2, 0), (0, 1))))]
+    weights = np.array([[float(v) if j in cs else 0.0 for j, v in
+                         enumerate(plurality_profile(rs, lam).pl)] for cs, lam in pairs])
+    samples = np.array([weights @ rng_for(seed, t).standard_normal(4) for t in range(30)])
+    rep = gaussian_process_sample(rs, pairs, trials=30, seed=seed)
+    assert rep.empirical_means == tuple(samples.mean(axis=0).tolist())
+    assert rep.empirical_variances == tuple(samples.var(axis=0, ddof=1).tolist())
+    assert rep.mean_abs_max == float(np.abs(samples).max(axis=1).mean())
+
+
 def test_gaussian_sample_order_invariance_and_errors():
     rs = rs_code(F5, 2, [0, 1, 2, 3])
     pair_a = ((0, 1, 2, 3), MessageSet(((1, 2),)))

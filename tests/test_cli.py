@@ -4,13 +4,15 @@ import contextlib
 import io
 import json
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from listlab import cli
+from listlab import cli, plurality
 from listlab.bounds import _real
 from listlab.cli import main
+from listlab.linear_code import lex_digits
 from listlab.oracle import certificate_from_json_dict
 from listlab.reports import REPO_CSV_COLUMNS, canonical_bytes
 
@@ -663,3 +665,36 @@ def test_oracle_verify_malformed_documents_are_usage_errors(text, tmp_path):
     path.write_text(text)
     err = _usage_error(["oracle", "verify", "--certificate", str(path)])
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_scan_past_the_histogram_limit_exits_0_or_2(tmp_path, capsys, monkeypatch):
+    # q^n * N = 2^57 comparisons fit this budget, but at n = 54 the scan's
+    # packed histograms are not exact: the sampled supremum reroutes, the
+    # exact commands refuse with a message
+    code = tmp_path / "h54.json"
+    assert main(["code", "make", "--kind", "sample-hadamard", "--q", "2", "--k", "3",
+                 "--n", "54", "--seed", "1", "--out", str(code)]) == 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"budgets": {"max_received_words": 1 << 60, "max_subsets": 1}}))
+    common = ["--code", str(code), "--config", str(cfg)]
+    monkeypatch.setattr(plurality, "lex_digits", _small_digit_tables_only)
+    out = tmp_path / "sup.json"
+    assert main(["chain", "mc", "--check", "supremum", "--list-size", "3", "--trials", "20",
+                 *common, "--out", str(out)]) == 0
+    assert read(out)["results"]["supremum"]["q_hat_exact"] is False
+    for argv, message in (
+        (["oracle", "check", "--radius", "1/4", "--list-bound", "3"],
+         "error: no exact packed histogram at length 54"),
+        (["oracle", "check", "--radius", "1/4", "--list-bound", "2", "--mode", "average-radius"],
+         "at length 54 > 53 or 56 subsets"),
+        (["plurality", "Q", "--list-size", "3"], "at length 54 > 53 or 56 subsets"),
+    ):
+        assert main(argv + common) == 2
+        assert message in capsys.readouterr().err
+
+
+def _small_digit_tables_only(q, width, indices):
+    # a scan that built its suffix table before checking the length would ask
+    # for 2^27 words here
+    assert np.size(indices) <= 1 << 16, f"lex_digits table of {np.size(indices)} words"
+    return lex_digits(q, width, indices)

@@ -1,5 +1,6 @@
-"""Static checks of the package sources: no unused top-level import, and no
-private name imported from another listlab module unless it is listed."""
+"""Static checks of the package sources: no unused top-level import, no
+private name imported from another listlab module unless it is listed, and
+numpy's stream constructors named only in `seeds`."""
 
 from __future__ import annotations
 
@@ -84,3 +85,31 @@ def test_private_import_detector():
     assert _private_imports("m", tree) == {
         ("m", "plurality", "_a"), ("m", "oracle", "_c"), ("m", "galois", "_d")
     }
+
+
+# every listlab stream is derived in seeds, from (seed, path) keys
+RNG_CONSTRUCTORS = {"default_rng", "SeedSequence", "PCG64"}
+
+
+def _rng_constructors(tree: ast.Module) -> set[str]:
+    names = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    names |= {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    names |= {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
+    return names & RNG_CONSTRUCTORS
+
+
+def test_rng_constructors_named_only_in_seeds():
+    named = {
+        p.stem: found
+        for p in SOURCES
+        if (found := _rng_constructors(ast.parse(p.read_text(encoding="utf-8"))))
+    }
+    assert set(named) == {"seeds"}, named
+
+
+def test_rng_constructor_detector():
+    tree = ast.parse(
+        "import numpy as np\nnp.random.default_rng(1)\nfrom numpy.random import PCG64\n"
+        "def f(SeedSequence):\n    return SeedSequence\n"
+    )
+    assert _rng_constructors(tree) == {"default_rng", "PCG64", "SeedSequence"}

@@ -18,10 +18,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import listlab.plurality as plurality
-from listlab.config import Budgets
+from listlab.config import MAX_SCAN_LENGTH, Budgets
 from listlab.errors import InfeasibleError
 from listlab.galois import field_new, poly_mod_gf2, poly_mul_gf2
-from listlab.linear_code import LinearCode, hadamard_code, rs_code, sample_code
+from listlab.linear_code import LinearCode, hadamard_code, lex_digits, rs_code, sample_code
 from listlab.oracle import (
     AVERAGE_RADIUS,
     BOUNDED,
@@ -700,3 +700,31 @@ def test_distance_proof_charges_the_budgets_of_the_search():
     # either route within budget is enough, as for the search
     cert = is_avg_radius_list_decodable(RS5, query, budgets=Budgets(max_subsets=2300))
     assert cert.verdict == DECODABLE
+
+
+def test_scan_past_the_histogram_limit_refused_or_rerouted(monkeypatch):
+    # a scan that built its tables before checking the length would ask for
+    # q^(n/2) = 2^27 suffix words here: refuse those instead
+    def small_tables_only(q, width, indices):
+        assert np.size(indices) <= 1 << 16, f"lex_digits table of {np.size(indices)} words"
+        return lex_digits(q, width, indices)
+
+    monkeypatch.setattr(plurality, "lex_digits", small_tables_only)
+    assert plurality._part_size(MAX_SCAN_LENGTH) >= 1
+    with pytest.raises(InfeasibleError, match="no exact packed histogram at length 54"):
+        plurality._part_size(MAX_SCAN_LENGTH + 1)
+    code = sample_code(hadamard_code(field_new(2), 3), MAX_SCAN_LENGTH + 1, seed=1)
+    words = code.codeword_matrix()
+    with pytest.raises(InfeasibleError, match="at length 54"):
+        next(plurality._agreement_tails(words, 2, [1]))
+    # q^n * N = 2^57 fits this scan budget, yet the scan is past the limit
+    wide = Budgets(max_received_words=1 << 60, max_subsets=1)
+    assert wide.mass_route(code, 3, sampled=True) == "sampled"
+    with pytest.raises(InfeasibleError, match="comparisons at length 54 > 53 or 56 subsets"):
+        wide.mass_route(code, 3)
+    assert dataclasses.replace(wide, max_subsets=56).mass_route(code, 3) == "subsets"
+    exact = plurality_mass(code, 3, "exact", budgets=dataclasses.replace(wide, max_subsets=56))
+    assert exact.route == "subsets" and exact.exact
+    # a shorter code keeps the scan route; tests/test_cli.py runs the checks
+    short = sample_code(hadamard_code(field_new(2), 3), 12, seed=1)
+    assert wide.mass_route(short, 3) == "scan"

@@ -417,21 +417,24 @@ def test_distinct_draws_match_per_trial_choice(N, L, T):
 
 def test_family_columns_reproducible():
     # a sampled family's draw i is sample_code's draw under child_seed(seed, i),
-    # and its code is that draw of the whole parent; a fixed family always
-    # draws all of its code's columns
+    # and its code is that draw of the whole parent, whether drawn alone or
+    # in a batch; a fixed family always draws all of its code's columns
     for kind, parent in (("sampled-rs", full_rs_code(field_new(3), 2)),
                          ("sampled-hadamard", hadamard_code(field_new(3), 2))):
         fam = CodeFamily(kind, field=field_new(3), k=2, n=7)
         assert fam.parent_n == parent.n
-        for seed, index in ((5, 2), (5, 3), (0, 0)):
-            cols = fam.columns(seed, index)
-            assert cols.tolist() == fam.columns(seed, index).tolist()
-            code = sample_code(parent, 7, seed=child_seed(seed, index))
-            assert cols.tolist() == code.provenance["columns"]
-            assert fam.code_on(cols).generator == code.generator
-        assert fam.columns(5, 2).tolist() != fam.columns(5, 3).tolist()
+        for seed in (5, 0):
+            batch = fam.columns(seed, range(14))  # enough keys for the batch derivation
+            assert batch.shape == (14, 7)
+            for index, cols in enumerate(batch):
+                assert cols.tolist() == fam.columns(seed, [index])[0].tolist()
+                code = sample_code(parent, 7, seed=child_seed(seed, index))
+                assert cols.tolist() == code.provenance["columns"]
+                assert fam.code_on(cols).generator == code.generator
+        assert fam.columns(5, [2])[0].tolist() != fam.columns(5, [3])[0].tolist()
+        assert fam.columns(5, []).shape[0] == 0
     fixed = CodeFamily("fixed", code=full_rs_code(field_new(5), 2))
-    assert fixed.columns(5, 2).tolist() == list(range(5))
+    assert fixed.columns(5, [2, 3]).tolist() == [list(range(5))] * 2
     assert fixed.code_on([4, 0]).generator == ((1, 1), (4, 0))
 
 

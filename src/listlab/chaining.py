@@ -543,7 +543,7 @@ def symmetrization_check(
     lams = candidate_message_sets(family.field, family.k, L, n_candidates, seed)
     # pl_j of a drawn code is pl of its parent column, so one table over the
     # distinct drawn columns serves every trial: pilot draws first, then main
-    draws = np.vstack([family.columns(s, range(trials)) for s in (seed + 1_000_003, seed)])
+    draws = np.array([c for s in (seed + 1_000_003, seed) for c in family.columns(s, range(trials))])
     used, where = np.unique(draws, return_inverse=True)
     where = where.reshape(draws.shape)
     table = _pl_matrix(family.code_on(used), lams)

@@ -17,7 +17,7 @@ from .errors import InfeasibleError
 from .reports import Record, read_section
 
 DEFAULT_ETA_RULE = "1/log2(L)"
-MAX_SCAN_LENGTH = 53  # the longest n with exact packed scan histograms (plurality._part_size)
+MAX_SCAN_LENGTH = 53  # longest exact packed scan histogram: 2^n, an exact float64 to n = 53
 
 
 @dataclass(frozen=True)
@@ -62,11 +62,10 @@ class Budgets(Record):
 
     def mass_route(self, code, L: int, *, sampled: bool = False) -> str:
         """Route of a plurality mass of `code` at list size L: "scan" when its
-        q^n * N comparisons fit max_received_words, n is at most
-        MAX_SCAN_LENGTH, and it costs no more than the C(N, L) subsets or
-        those are over max_subsets, else "subsets". Over both budgets:
-        "sampled" if the caller allows it, else InfeasibleError. The caller
-        charges max_codewords itself (a vacuous query never does)."""
+        q^n * N comparisons fit max_received_words, n <= MAX_SCAN_LENGTH, and
+        cost no more than the C(N, L) subsets or those are over max_subsets,
+        else "subsets". Over both budgets: "sampled" if the caller allows it,
+        else InfeasibleError. Callers charge max_codewords (a vacuous query never does)."""
         scan_cost = self.scan_cost(code)
         subset_count = math.comb(code.size, L)
         scan_ok = scan_cost <= self.max_received_words and code.n <= MAX_SCAN_LENGTH

@@ -147,8 +147,8 @@ def experiment_corollary(
     successes = 0
     oracle_mode = "exhaustive"
     verdicts = []
-    for i in range(draws):
-        code = family.code_on(family.columns(seed, [i])[0])
+    for i, cols in enumerate(family.columns(seed, range(draws))):
+        code = family.code_on(cols)
         if allow_sampled and budgets.mass_route(code, L + 1, sampled=True) == "sampled":
             oracle_mode = "sampled"
             mass = plurality_mass(

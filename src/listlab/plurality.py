@@ -16,7 +16,7 @@ from operator import add, eq
 
 import numpy as np
 
-from .config import Budgets
+from .config import MAX_SCAN_LENGTH, Budgets
 from .errors import InfeasibleError
 from .galois import Field
 from .linear_code import MAX_HADAMARD_COLUMNS, LinearCode, lex_digits, rs_code
@@ -83,8 +83,7 @@ def plurality_profile(code: LinearCode, lam: MessageSet) -> PluralityProfile:
 
 
 def plurality_counts_array(words: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
-    """(plurality counts, smallest maximizing symbol) per coordinate of an
-    (L, n) integer array over [0, q); argmax's first maximum breaks ties."""
+    """(plurality counts, smallest maximizing symbol) per coordinate of the (L, n) words."""
     symbol_counts = _symbol_counts(words, q)
     return symbol_counts.max(axis=1), symbol_counts.argmax(axis=1)
 
@@ -162,7 +161,7 @@ def agreement_block(received: np.ndarray, words: np.ndarray) -> np.ndarray:
 # float64 holds every integer up to 2^53 exactly, int64 every one below 2^63;
 # a tail block spans about _BLOCK_ROWS received words, and its prefix power
 # table about _BLOCK_ROWS cells
-_F64_EXACT = 1 << 53
+_F64_EXACT = 1 << MAX_SCAN_LENGTH
 _I64_LIMIT = 1 << 63
 _BLOCK_ROWS = 1 << 13
 
@@ -174,16 +173,16 @@ def _part_size(n: int) -> int:
     2^b is a sum of m powers 2^(b*a), a <= n. It is an exact float64 integer
     when m * 2^(b*n) <= 2^53, and its read-off intermediate 2^b * H stays an
     int64 when m * 2^(b*(n+1)) < 2^63. Both bounds grow with m, so every
-    smaller m meets them too.
+    smaller m meets them too. Past MAX_SCAN_LENGTH even m = 1 is not exact.
     """
+    if n > MAX_SCAN_LENGTH:
+        raise InfeasibleError(f"no exact packed histogram at length {n}")
     best = 0
     for b in range(1, 64):
         cap = min((1 << b) - 1, _F64_EXACT >> (b * n), (_I64_LIMIT - 1) >> (b * (n + 1)))
         if cap < 1 << (b - 1):
             break
         best = cap
-    if best < 1:
-        raise InfeasibleError(f"no exact packed histogram at length {n}")
     return best
 
 
@@ -480,14 +479,13 @@ class CodeFamily:
             return LinearCode(self.field, lex_digits(self.field.q, self.k, cols).tolist())
         return LinearCode(self.field, np.array(self._fixed.generator)[:, cols].tolist())
 
-    def columns(self, seed: int, indices) -> np.ndarray:
-        """(len(indices), n) parent columns, row i the columns that
-        sample_code(parent, n, child_seed(seed, indices[i])) keeps."""
-        keys = [(seed, i) for i in indices]
+    def columns(self, seed: int, indices):
+        """Iterate, one draw at a time, over the n parent columns per index i
+        that sample_code(parent, n, child_seed(seed, i)) keeps."""
         if self.kind == "fixed":
-            return np.tile(np.arange(self.n), (len(keys), 1))
-        rngs = streams((c,) for c in child_seeds(keys))
-        return np.array([rng.integers(0, self.parent_n, size=self.n) for rng in rngs])
+            return (np.arange(self.n) for _ in indices)
+        rngs = streams((c,) for c in child_seeds((seed, i) for i in indices))
+        return (rng.integers(0, self.parent_n, size=self.n) for rng in rngs)
 
     def descriptor(self) -> dict:
         return {"kind": self.kind, "q": self.field.q, "poly": self.field.poly,

@@ -11,8 +11,7 @@ import numpy as np
 # numpy's SeedSequence hash constants (a 4-word pool) and its PCG64 multiplier
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R, _PCG_MULT = 0xCA01F9DD, 0x4973F715, 0x2360ED051FC65DA44385DF649FCCF645
-# fewer keys take numpy's own calls, cheaper then: one batch pass costs about 12 of them
-_MIN_BATCH = 12
+_MIN_BATCH = 12  # one pass costs about as much as numpy's own calls for 12 keys
 
 
 def seed_sequence(seed: int, *path: int) -> np.random.SeedSequence:
@@ -28,68 +27,52 @@ def child_seed(seed: int, *path: int) -> int:
     return int(seed_sequence(seed, *path).generate_state(1, np.uint64)[0])
 
 
-def _constants(init: int, mult: int, count: int) -> np.ndarray:
-    """numpy's hash constants c_i = init * mult^i mod 2^32, i = 0 .. count, as a column."""
-    return (np.uint32(init) * np.uint32(mult) ** np.arange(count + 1, dtype=np.uint32))[:, None]
-
-
-def _hash(x, c):
-    """numpy's hashmix of x, one row per call: call i xors c[i] and multiplies by c[i + 1]."""
-    x = (x ^ c[:-1]) * c[1:]
+def _hash(x, init: int, mult: int, at: int = 0):
+    """Row i of x through numpy's hash call at + i (constants c_j = init * mult^j mod 2^32)."""
+    c = np.uint32(init) * np.uint32(mult) ** np.arange(at, at + len(x) + 1, dtype=np.uint32)
+    x = (x ^ c[:-1, None]) * c[1:, None]
     return x ^ (x >> 16)
 
 
-def _states(keys, n_words: int) -> np.ndarray:
+def _states(keys: list, n_words: int) -> np.ndarray:
     """(len(keys), n_words) uint32: seed_sequence(*key).generate_state(n_words) per key.
-
-    Int keys of one length, seed < 2^64 and path parts < 2^32, are hashed
-    together, a seed padded to the pool as numpy pads it before a spawn key.
-    numpy's hash constants do not depend on the data, so the calls of one of
-    its loops that hash one word are one array op. Other keys take numpy's call.
-    """
-    out = np.empty((len(keys), n_words), dtype=np.uint32)
+    numpy's hash constants do not depend on the data, so _MIN_BATCH or more keys
+    of one length, seed < 2^64 and path parts < 2^32, are hashed together (the seed
+    padded to the pool as before a spawn key); other batches take numpy's calls."""
     try:
         parts = np.array(keys, dtype=np.uint64).reshape(len(keys), -1)
-        fast = (parts[:, 1:] >> 32 == 0).all(axis=1)
-        if (parts >> 63).any() and min(map(min, keys)) < 0:  # a numpy negative wrapped
+        # a negative numpy integer wraps above, where rng_for refuses it
+        if len(keys) < _MIN_BATCH or (parts[:, 1:] >> 32).any() or (
+                (parts >> 63).any() and min(map(min, keys)) < 0):
             raise OverflowError
     except (OverflowError, ValueError):
-        fast = np.zeros(len(keys), dtype=bool)
-    for i in np.flatnonzero(~fast):
-        out[i] = seed_sequence(*keys[i]).generate_state(n_words)
-    if fast.any():
-        seed = parts[fast, 0]
-        words = np.vstack([seed & 0xFFFFFFFF, seed >> 32, 0 * seed, 0 * seed, parts[fast, 1:].T])
-        words = words.astype(np.uint32)
-        c = _constants(_INIT_A, _MULT_A, 4 * len(words))
-        pool = _hash(words[:4], c[:5])
-        # each pool word mixes into the other three, then each path word into all four
-        for i, at in enumerate([4, 7, 10, 13, *range(16, 4 * len(words), 4)]):
-            dst = [d for d in range(4) if d != i]
-            y = _hash(pool[i] if i < 4 else words[i], c[at : at + len(dst) + 1])
-            r = np.uint32(_MIX_L) * pool[dst] - np.uint32(_MIX_R) * y
-            pool[dst] = r ^ (r >> 16)
-        out[fast] = _hash(pool[np.arange(n_words) % 4], _constants(_INIT_B, _MULT_B, n_words)).T
-    return out
+        states = [seed_sequence(*k).generate_state(n_words) for k in keys]
+        return np.array(states, dtype=np.uint32).reshape(-1, n_words)
+    seed = parts[:, 0]
+    words = np.vstack([seed & 0xFFFFFFFF, seed >> 32, 0 * seed, 0 * seed, parts[:, 1:].T])
+    words = words.astype(np.uint32)
+    pool = _hash(words[:4], _INIT_A, _MULT_A)
+    # each pool word mixes into the other three, then each path word into all four
+    for i, at in enumerate([4, 7, 10, 13, *range(16, 4 * len(words), 4)]):
+        dst = [d for d in range(4) if d != i]
+        y = _hash((pool if i < 4 else words)[[i] * len(dst)], _INIT_A, _MULT_A, at)
+        r = np.uint32(_MIX_L) * pool[dst] - np.uint32(_MIX_R) * y
+        pool[dst] = r ^ (r >> 16)
+    return _hash(pool[np.arange(n_words) % 4], _INIT_B, _MULT_B).T
 
 
 def child_seeds(keys) -> list[int]:
     """child_seed(*key) for each (seed, *path) key, in one pass."""
-    if len(keys := list(keys)) < _MIN_BATCH:
-        return [child_seed(*k) for k in keys]
-    w = _states(keys, 2).astype(np.uint64)
+    w = _states(list(keys), 2).astype(np.uint64)
     return (w[:, 0] | w[:, 1] << 32).tolist()
 
 
 def streams(keys):
-    """Yield per (seed, *path) key a generator in rng_for(*key)'s state, in a
-    batch one reused generator set as numpy seeds PCG64: generate_state(4,
-    uint64) gives 128-bit (hi, lo) words init and seq, inc = 2 seq + 1 and
-    state = (inc + init) * mult + inc."""
-    if len(keys := list(keys)) < _MIN_BATCH:
-        yield from (rng_for(*k) for k in keys)
-        return
-    w = _states(keys, 8).astype(np.uint64)
+    """Yield per (seed, *path) key a generator in rng_for(*key)'s state: one
+    reused generator, so each is valid only until the next is drawn. It is set
+    as numpy seeds PCG64: generate_state(4, uint64) gives 128-bit (hi, lo)
+    words init and seq, inc = 2 seq + 1 and state = (inc + init) * mult + inc."""
+    w = _states(list(keys), 8).astype(np.uint64)
     rng = np.random.Generator(bits := np.random.PCG64(0))
     for s0, s1, i0, i1 in (w[:, 0::2] | w[:, 1::2] << 32).tolist():
         inc = (i0 << 65 | i1 << 1 | 1) % (1 << 128)

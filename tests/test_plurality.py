@@ -424,17 +424,18 @@ def test_family_columns_reproducible():
         fam = CodeFamily(kind, field=field_new(3), k=2, n=7)
         assert fam.parent_n == parent.n
         for seed in (5, 0):
-            batch = fam.columns(seed, range(14))  # enough keys for the batch derivation
-            assert batch.shape == (14, 7)
+            batch = [cols.tolist() for cols in fam.columns(seed, range(14))]
+            assert len(batch) == 14 and {len(cols) for cols in batch} == {7}
             for index, cols in enumerate(batch):
-                assert cols.tolist() == fam.columns(seed, [index])[0].tolist()
+                assert cols == next(fam.columns(seed, [index])).tolist()
                 code = sample_code(parent, 7, seed=child_seed(seed, index))
-                assert cols.tolist() == code.provenance["columns"]
+                assert cols == code.provenance["columns"]
                 assert fam.code_on(cols).generator == code.generator
-        assert fam.columns(5, [2])[0].tolist() != fam.columns(5, [3])[0].tolist()
-        assert fam.columns(5, []).shape[0] == 0
+        assert next(fam.columns(5, [2])).tolist() != next(fam.columns(5, [3])).tolist()
+        assert list(fam.columns(5, [])) == []
+        assert iter(lazy := fam.columns(5, range(3))) is lazy  # one draw held at a time
     fixed = CodeFamily("fixed", code=full_rs_code(field_new(5), 2))
-    assert fixed.columns(5, [2, 3]).tolist() == [list(range(5))] * 2
+    assert [cols.tolist() for cols in fixed.columns(5, [2, 3])] == [list(range(5))] * 2
     assert fixed.code_on([4, 0]).generator == ((1, 1), (4, 0))
 
 

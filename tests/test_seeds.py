@@ -73,10 +73,14 @@ def test_common_keys_take_no_per_key_numpy_call(monkeypatch):
 
 
 def test_streams_reuse_one_generator_and_accept_edge_keys():
-    rngs = list(streams((1, t) for t in range(12)))
-    assert all(rng is rngs[0] for rng in rngs)
+    for count in (1, 2, 12):  # one generator, whatever the batch and the route
+        first = streams((1, t) for t in range(count))
+        rng = next(first)
+        assert all(later is rng for later in first)
+        mixed = streams([(1, 0), (2**70, 0)])
+        assert next(mixed) is next(mixed)
     assert list(streams([])) == [] and child_seeds([]) == []
-    for count in (1, 12):  # numpy's own calls, then the batch pass, refuse alike
+    for count in (1, 12):  # the numpy fallback refuses these as rng_for does
         with pytest.raises(ValueError):
             list(streams([(-1, t) for t in range(count)]))
         with pytest.raises(ValueError):  # a numpy integer, which a uint64 array would wrap

@@ -540,6 +540,8 @@ def symmetrization_check(
     """
     if trials < 2:
         raise ValueError("need at least 2 trials")
+    # allocated first, so a trial count past numpy's array limit is a ValueError
+    d_vals, r_vals, g_vals = np.empty((3, trials))
     lams = candidate_message_sets(family.field, family.k, L, n_candidates, seed)
     # pl_j of a drawn code is pl of its parent column, so one table over the
     # distinct drawn columns serves every trial: pilot draws first, then main
@@ -552,7 +554,6 @@ def symmetrization_check(
         mean_pl += table.take(cols, axis=1)
     mean_pl /= trials
 
-    d_vals, r_vals, g_vals = np.empty((3, trials))
     # trial t's signs and normals come from rng_for(seed, t, 1) and (seed, t, 2)
     rngs = streams((seed, t, s) for t in range(trials) for s in (1, 2))
     for t, cols in enumerate(where[trials:]):

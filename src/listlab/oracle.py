@@ -350,28 +350,37 @@ def decoding_radius_profile(
     """For each list size up to `max_list_size`, the largest decodable m/n.
 
     One exhaustive pass over received words reads, per word, the top
-    agreement counts off its tail counts at levels 1..n; the per-list-size
-    maxima determine both radii exactly. List sizes at or above the code
-    size decode at radius 1 in both modes (no ball and no codeword set can
-    overfill).
+    agreement counts off its tail counts at levels 1..n. The row at list
+    size ell reads the largest top-(ell+1) sum, so the scan asks for
+    k = 2..min(max_list_size + 1, N), and the largest (ell+1)-th agreement,
+    the number of levels whose largest tail is at least ell + 1. These
+    maxima determine both radii exactly. List sizes at or above the code size decode at
+    radius 1 in both modes (no ball and no codeword set can overfill); the
+    scan runs even when every row is one of them. A `max_list_size` above
+    `budgets.max_codewords` is refused (ValueError) before the scan: no code
+    within that budget has more codewords, so no further row could differ
+    from radius 1.
     """
     if max_list_size < 1:
         raise ValueError("max_list_size must be >= 1")
+    if max_list_size > budgets.max_codewords:
+        raise ValueError(
+            f"max_list_size {max_list_size} exceeds the codeword budget {budgets.max_codewords}: "
+            "every longer list decodes at radius 1"
+        )
     q, n = code.field.q, code.n
     budgets.check_scan(code, "profile scan")
     words = code.codeword_matrix(budgets=budgets)
     n_words = len(words)
-    ks = np.arange(1, min(max_list_size + 1, n_words) + 1)
+    ks = range(2, min(max_list_size + 1, n_words) + 1)
     best_topsum, _, best_tail = _top_sum_maxima(words, q, ks)
-    # the largest k-th agreement over all words is #{a >= 1 : max tail_a >= k}
-    best_kth = (best_tail[:, None] >= ks).sum(axis=0)
     rows = []
     for ell in range(1, max_list_size + 1):
         if ell >= n_words:
             rows.append(ProfileRow(ell, Fraction(1), Fraction(1)))
             continue
-        crowd = int(best_kth[ell])  # largest (ell+1)-th agreement over all words
-        total = int(best_topsum[ell])  # largest top-(ell+1) agreement sum
+        crowd = int((best_tail >= ell + 1).sum())  # largest (ell+1)-th agreement over all words
+        total = int(best_topsum[ell - 1])  # largest top-(ell+1) agreement sum
         m_standard = n - 1 - crowd
         m_average = n - (-(-total // (ell + 1)))
         rows.append(ProfileRow(ell, Fraction(m_standard, n), Fraction(m_average, n)))

@@ -158,11 +158,12 @@ def agreement_block(received: np.ndarray, words: np.ndarray) -> np.ndarray:
     return acc
 
 
-# float64 holds every integer up to 2^53 exactly, int64 every one below 2^63;
-# a tail block spans about _BLOCK_ROWS received words, and its prefix power
-# table about _BLOCK_ROWS cells
+# float64 holds every integer up to 2^53 exactly, int64 every one below 2^63
+# and int32 every one below 2^31; a tail block spans about _BLOCK_ROWS received
+# words, and its prefix power table about _BLOCK_ROWS cells
 _F64_EXACT = 1 << MAX_SCAN_LENGTH
 _I64_LIMIT = 1 << 63
+_I32_LIMIT = 1 << 31
 _BLOCK_ROWS = 1 << 13
 
 
@@ -202,7 +203,9 @@ def _agreement_tails(words: np.ndarray, q: int, levels):
     part's suffix table is built once per scan and the parts' tails add.
 
     `tails` is one column-major buffer reused for every block: it is valid
-    until the next block is drawn.
+    until the next block is drawn. Its integers are int32 when n * N < 2^31,
+    else int64: a tail is at most N and a sum of n tails, as the top-k
+    reducer forms, at most n * N.
     """
     n_words, n = words.shape
     n_parts = -(-n_words // _part_size(n))  # first: it refuses a length past the limit
@@ -220,7 +223,8 @@ def _agreement_tails(words: np.ndarray, q: int, levels):
     n_pre = min(q**pre, max(1, _BLOCK_ROWS // max(n_suf, n_words)))
     hist = np.empty((n_pre, n_suf))
     packed = np.empty(n_pre * n_suf, dtype=np.int64)
-    tails_buf = np.empty((n_pre * n_suf, len(shifts)), dtype=np.int64, order="F")
+    width = np.int32 if n * n_words < _I32_LIMIT else np.int64
+    tails_buf = np.empty((n_pre * n_suf, len(shifts)), dtype=width, order="F")
     digits_buf = np.empty_like(tails_buf) if n_parts > 1 else None
     for start, block in iter_received_blocks(q, n, n_pre * n_suf):
         prefixes = block[::n_suf, :pre]
@@ -233,6 +237,8 @@ def _agreement_tails(words: np.ndarray, q: int, levels):
             g -= len(right)
             g //= digit  # G, exactly: 2^b * H - m is a multiple of 2^b - 1
             out = tails if lo == 0 else digits_buf[:rows]
+            # an int32 `out` keeps the low 32 bits of each shifted G, and the
+            # mask below keeps only the low b of those: digit < 2^21 fits
             np.right_shift(g[:, None], shifts, out=out)
             out &= digit
             if lo:
@@ -247,29 +253,36 @@ def _top_sum_maxima(words: np.ndarray, q: int, ks):
 
     With tail_a that number for one word, its k-th largest agreement is
     #{a >= 1 : tail_a >= k} and its top-k sum is the sum over a of
-    min(tail_a, k). The sum buffers are allocated by the first block, the
-    largest, and reused by the next ones.
+    min(tail_a, k). Tails fall as the level rises, so per block and k the
+    levels split at two cuts: below a_lo every tail of the block is >= k and
+    the level adds exactly k, from a_hi on every tail is <= k and the level
+    adds its tail. Only the levels in between take a minimum; the constant
+    k * a_lo leaves each block's first maximum where it was. The sums keep
+    the tails' integer width, and their buffers are allocated by the first
+    block, the largest, and reused by the next ones.
     """
-    ks = np.asarray(ks, dtype=np.int64)[:, None]
-    rows = np.arange(len(ks))
+    n = words.shape[1]
+    ks = np.asarray(ks, dtype=np.int64)
     best_sum = np.full(len(ks), -1, dtype=np.int64)
     best_idx = np.zeros(len(ks), dtype=np.int64)
-    best_tail = np.zeros(words.shape[1], dtype=np.int64)
+    best_tail = np.zeros(n, dtype=np.int64)
     sums = scratch = None
-    for start, tails in _agreement_tails(words, q, range(1, words.shape[1] + 1)):
+    for start, tails in _agreement_tails(words, q, range(1, n + 1)):
         if sums is None:
-            sums, scratch = np.empty((2, len(ks), len(tails)), dtype=np.int64)
-        s, t = sums[:, : len(tails)], scratch[:, : len(tails)]
-        np.minimum(tails[:, 0], ks, out=s)
-        for tail in tails.T[1:]:
-            np.minimum(tail, ks, out=t)
-            s += t
-        pos = s.argmax(axis=1)  # each k's first maximum in the block
-        top = s[rows, pos]
-        better = top > best_sum
-        best_sum[better] = top[better]
-        best_idx[better] = start + pos[better]
-        np.maximum(best_tail, tails.max(axis=0), out=best_tail)
+            sums, scratch = np.empty((2, len(tails)), dtype=tails.dtype)
+        s, t = sums[: len(tails)], scratch[: len(tails)]
+        most, least = tails.max(axis=0), tails.min(axis=0)
+        np.maximum(best_tail, most, out=best_tail)
+        cuts_lo = (least >= ks[:, None]).sum(axis=1)
+        cuts_hi = np.maximum((most > ks[:, None]).sum(axis=1), cuts_lo)
+        for i, (k, a_lo, a_hi) in enumerate(zip(ks.tolist(), cuts_lo.tolist(), cuts_hi.tolist())):
+            np.add.reduce(tails[:, a_hi:], axis=1, dtype=s.dtype, out=s)
+            for a in range(a_lo, a_hi):
+                s += np.minimum(tails[:, a], k, out=t)
+            pos = int(s.argmax())  # the block's first maximum
+            top = k * a_lo + int(s[pos])
+            if top > best_sum[i]:
+                best_sum[i], best_idx[i] = top, start + pos
     return best_sum, best_idx, best_tail
 
 

@@ -6,12 +6,15 @@ from (seed, path) so trial-parallel and serial runs see identical draws.
 
 from __future__ import annotations
 
+from itertools import islice
+
 import numpy as np
 
 # numpy's SeedSequence hash constants (a 4-word pool) and its PCG64 multiplier
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R, _PCG_MULT = 0xCA01F9DD, 0x4973F715, 0x2360ED051FC65DA44385DF649FCCF645
 _MIN_BATCH = 12  # one pass costs about as much as numpy's own calls for 12 keys
+_KEY_CHUNK = 4096  # keys per pass, so memory does not grow with the key count
 
 
 def seed_sequence(seed: int, *path: int) -> np.random.SeedSequence:
@@ -61,10 +64,18 @@ def _states(keys: list, n_words: int) -> np.ndarray:
     return _hash(pool[np.arange(n_words) % 4], _INIT_B, _MULT_B).T
 
 
-def child_seeds(keys) -> list[int]:
-    """child_seed(*key) for each (seed, *path) key, in one pass."""
-    w = _states(list(keys), 2).astype(np.uint64)
-    return (w[:, 0] | w[:, 1] << 32).tolist()
+def _chunk_states(keys, n_words: int):
+    """Yield _states(chunk, n_words) as uint64 for successive chunks of at most
+    _KEY_CHUNK keys, drawn from `keys` only as each chunk is needed."""
+    keys = iter(keys)
+    while chunk := list(islice(keys, _KEY_CHUNK)):
+        yield _states(chunk, n_words).astype(np.uint64)
+
+
+def child_seeds(keys):
+    """Yield child_seed(*key) for each (seed, *path) key, _KEY_CHUNK keys per pass."""
+    for w in _chunk_states(keys, 2):
+        yield from (w[:, 0] | w[:, 1] << 32).tolist()
 
 
 def streams(keys):
@@ -72,11 +83,11 @@ def streams(keys):
     reused generator, so each is valid only until the next is drawn. It is set
     as numpy seeds PCG64: generate_state(4, uint64) gives 128-bit (hi, lo)
     words init and seq, inc = 2 seq + 1 and state = (inc + init) * mult + inc."""
-    w = _states(list(keys), 8).astype(np.uint64)
     rng = np.random.Generator(bits := np.random.PCG64(0))
-    for s0, s1, i0, i1 in (w[:, 0::2] | w[:, 1::2] << 32).tolist():
-        inc = (i0 << 65 | i1 << 1 | 1) % (1 << 128)
-        state = ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) % (1 << 128)
-        bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                      "has_uint32": 0, "uinteger": 0}
-        yield rng
+    for w in _chunk_states(keys, 8):
+        for s0, s1, i0, i1 in (w[:, 0::2] | w[:, 1::2] << 32).tolist():
+            inc = (i0 << 65 | i1 << 1 | 1) % (1 << 128)
+            state = ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) % (1 << 128)
+            bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                          "has_uint32": 0, "uinteger": 0}
+            yield rng

@@ -3,12 +3,17 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import listlab
 from listlab import cli, plurality
 from listlab.bounds import _real
 from listlab.cli import main
@@ -698,3 +703,76 @@ def _small_digit_tables_only(q, width, indices):
     # for 2^27 words here
     assert np.size(indices) <= 1 << 16, f"lex_digits table of {np.size(indices)} words"
     return lex_digits(q, width, indices)
+
+
+HUGE = str(10**20)
+
+
+def test_profile_list_sizes_are_capped_by_the_codeword_budget(rs_path, tmp_path):
+    # up to the configured cap every row past N = 25 reads radius 1; one more is refused
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"budgets": {"max_codewords": 30}}))
+    out = tmp_path / "profile.json"
+    argv = ["oracle", "profile", "--code", rs_path, "--config", str(cfg)]
+    assert main([*argv, "--max-list-size", "30", "--out", str(out)]) == 0
+    rows = read(out)["results"]["profile"]
+    assert len(rows) == 30 and all(r["standard_radius"] == "1" for r in rows[24:])
+    err = _usage_error([*argv, "--max-list-size", "31"])
+    assert err == ("error: max_list_size 31 exceeds the codeword budget 30: "
+                   "every longer list decodes at radius 1\n")
+
+
+# every list-size-like option at 10^20; each command must exit 0, 1 or 2 with
+# no traceback, within the timeout and the address-space limit below (run in a
+# child interpreter, so a command that loops over list sizes cannot take this
+# process's memory)
+_LIST_SIZE_CASES = [
+    ["oracle", "profile", "--max-list-size", HUGE],
+    ["oracle", "check", "--radius", "1/2", "--list-bound", HUGE],
+    ["oracle", "check", "--radius", "1/2", "--list-bound", HUGE, "--mode", "average-radius"],
+    ["plurality", "Q", "--list-size", HUGE],
+    ["plurality", "Q", "--list-size", HUGE, "--mode", "greedy"],
+    ["plurality", "Q", "--list-size", HUGE, "--mode", "sampled"],
+    ["chain", "build", "--list-size", HUGE],
+    ["chain", "mc", "--list-size", HUGE],
+    ["chain", "mc", "--check", "supremum", "--list-size", HUGE],
+    ["chain", "symmetrize", "--family", "fixed", "--list-size", HUGE],
+]
+_UNCODED_LIST_SIZE_CASES = [
+    ["chain", "symmetrize", "--family", "sampled-rs", "--q", "5", "--k", "2", "--n", "4",
+     "--list-size", HUGE],
+    ["experiment", "beyond-johnson", "--q", "5", "--k", "2", "--n", "3", "--seeds-count", "1",
+     "--l-cap", HUGE],
+]
+_GUARD = """
+import contextlib, io, json, resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+from listlab.cli import main
+for argv in json.loads(sys.argv[1]):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    print(json.dumps([argv, code, err.getvalue()]), flush=True)
+"""
+
+
+def test_huge_list_size_options_exit_promptly_without_a_traceback(rs_path, tmp_path):
+    cases = [[*argv, "--code", rs_path] for argv in _LIST_SIZE_CASES] + _UNCODED_LIST_SIZE_CASES
+    cases = [[*argv, "--out", str(tmp_path / f"{i}.json")] for i, argv in enumerate(cases)]
+    # one BLAS thread: each more reserves tens of MB of the address space
+    env = {**os.environ, "PYTHONPATH": str(Path(listlab.__file__).parents[1]),
+           "OPENBLAS_NUM_THREADS": "1"}
+    # one interpreter runs every case: a hang trips the timeout, a traceback
+    # ends the run with it on stderr
+    run = subprocess.run([sys.executable, "-c", _GUARD, json.dumps(cases)], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0 and run.stderr == "", run.stderr
+    results = [json.loads(line) for line in run.stdout.splitlines()]
+    assert [argv for argv, _, _ in results] == cases
+    for argv, code, err in results:
+        assert code in (0, 1, 2) and "Traceback" not in err, (argv, code, err)
+    # both profile commands refuse before they scan or build any row
+    refusal = ("error: max_list_size 100000000000000000000 exceeds the codeword "
+               "budget 4194304: every longer list decodes at radius 1\n")
+    assert [r[1:] for r in results if "--max-list-size" in r[0] or "--l-cap" in r[0]] == (
+        [[2, refusal]] * 2)

@@ -486,6 +486,57 @@ def test_top_sum_maxima_several_ks_match_brute_force(monkeypatch, code, part, bl
     assert tails.tolist() == [int((agr >= a).sum(axis=1).max()) for a in range(1, code.n + 1)]
 
 
+@st.composite
+def rs_codes(draw):
+    """Reed-Solomon codes over GF(2)..GF(8) on points drawn with replacement."""
+    q = draw(st.sampled_from([2, 3, 4, 5, 7, 8]))
+    k = draw(st.integers(1, min(q, 3)))
+    n_max = max(n for n in range(1, 7) if n == 1 or q ** (n + k) <= 1 << 15)
+    points = draw(st.lists(st.integers(0, q - 1), min_size=1, max_size=n_max))
+    return rs_code(field_new(q), k, points)
+
+
+@given(rs_codes(), st.integers(1, 4), st.booleans(), st.booleans(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_top_sum_maxima_match_sorted_agreements(code, part, one_prefix, wide, data):
+    # `part` codewords per packed part (several parts once the code is
+    # larger), one prefix per block or the default block, int32 or int64 sums
+    n = code.n
+    with (
+        mock.patch.object(plurality, "_F64_EXACT", part << (part.bit_length() * n)),
+        mock.patch.object(plurality, "_BLOCK_ROWS", 1 if one_prefix else plurality._BLOCK_ROWS),
+        mock.patch.object(plurality, "_I32_LIMIT", 0 if wide else plurality._I32_LIMIT),
+    ):
+        assert plurality._part_size(n) == part
+        words, _, agr = _reference_agreements(code)
+        _, tails = next(plurality._agreement_tails(words, code.field.q, [1]))
+        assert tails.dtype == (np.int64 if wide else np.int32)
+        N = len(words)
+        # unsorted and repeated, with k = 1 and k > N
+        ks = data.draw(st.lists(st.integers(1, N + 2), min_size=1, max_size=5))
+        ks += [ks[0], 1, N + 1]
+        best, first, best_tail = plurality._top_sum_maxima(words, code.field.q, ks)
+    ordered = -np.sort(-agr, axis=1)
+    for k, value, index in zip(ks, best.tolist(), first.tolist()):
+        sums = ordered[:, :k].sum(axis=1)
+        assert (value, index) == (int(sums.max()), int(sums.argmax())), k
+    assert best_tail.tolist() == [int((agr >= a).sum(axis=1).max()) for a in range(1, n + 1)]
+
+
+def test_top_sum_maxima_on_blocks_with_every_level_settled(monkeypatch):
+    # GF(2)^2 as a code, two received words per block: every word is a
+    # codeword, so each block's tails at levels 1, 2 are exactly (3, 1), and
+    # for every k below all levels add k (k = 1), their tails (k = 5) or both
+    monkeypatch.setattr(plurality, "_BLOCK_ROWS", 1)
+    code = rs_code(field_new(2), 2, [0, 1])
+    words = code.codeword_matrix()
+    blocks = [tails.tolist() for _, tails in plurality._agreement_tails(words, 2, [1, 2])]
+    assert blocks == [[[3, 1], [3, 1]]] * 2
+    best, first, best_tail = plurality._top_sum_maxima(words, 2, [5, 5, 1, 3, 2])
+    assert best.tolist() == [4, 4, 2, 4, 3] and first.tolist() == [0] * 5
+    assert best_tail.tolist() == [3, 1]
+
+
 def _packed_exact(m, n):
     """The part-size rule: with b = m.bit_length(), a packed histogram of m
     codewords is an exact float64 sum and its read-off fits int64."""
@@ -527,6 +578,15 @@ def test_exhaustive_scans_pull_q_to_the_n_received_words(monkeypatch):
     pulled.clear()
     decoding_radius_profile(code, 3)
     assert sum(pulled) == 7**5
+    for profiled, max_list_size in ((code, 50), (LinearCode(field_new(3), [[0, 0, 0]]), 2)):
+        # list sizes at and past N = 49, and a one-codeword code whose every
+        # row is past N, so it asks for no top-k sum: each still scans q^n words
+        pulled.clear()
+        rows = decoding_radius_profile(profiled, max_list_size)
+        assert sum(pulled) == profiled.field.q ** profiled.n
+        assert [(r.list_size, r.standard_radius, r.average_radius) for r in rows] == (
+            _reference_profile(profiled, max_list_size)
+        )
     pulled.clear()
     assert plurality_mass(code, 5, "exact").route == "scan"  # C(49, 5) > 7^5 * 49
     assert sum(pulled) == 7**5

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -47,15 +49,15 @@ def test_streams_and_child_seeds_match_per_trial_calls(seed):
     for keys in batches:
         for key, rng in zip(keys, streams(keys), strict=True):
             _assert_same(rng, key)
-        assert child_seeds(keys) == [child_seed(*k) for k in keys]
+        assert list(child_seeds(keys)) == [child_seed(*k) for k in keys]
 
 
 def test_child_seeds_match_child_seed():
-    assert child_seeds(KEYS) == [child_seed(*k) for k in KEYS]
+    assert list(child_seeds(KEYS)) == [child_seed(*k) for k in KEYS]
     # a child seed is itself a spawn-free key, as CodeFamily.columns uses it
     kids = [(c,) for c in child_seeds((5, i) for i in range(50))]
     assert any(c >= 2**32 for (c,) in kids)
-    assert child_seeds(kids) == [child_seed(*k) for k in kids]
+    assert list(child_seeds(kids)) == [child_seed(*k) for k in kids]
     for key, rng in zip(kids, streams(kids), strict=True):
         _assert_same(rng, key)
 
@@ -79,11 +81,40 @@ def test_streams_reuse_one_generator_and_accept_edge_keys():
         assert all(later is rng for later in first)
         mixed = streams([(1, 0), (2**70, 0)])
         assert next(mixed) is next(mixed)
-    assert list(streams([])) == [] and child_seeds([]) == []
+    assert list(streams([])) == [] and list(child_seeds([])) == []
     for count in (1, 12):  # the numpy fallback refuses these as rng_for does
         with pytest.raises(ValueError):
             list(streams([(-1, t) for t in range(count)]))
         with pytest.raises(ValueError):  # a numpy integer, which a uint64 array would wrap
             list(streams([(np.int64(-1), t) for t in range(count)]))
         with pytest.raises(ValueError):
-            child_seeds([(3, -2 - t) for t in range(count)])
+            list(child_seeds([(3, -2 - t) for t in range(count)]))
+
+
+@pytest.mark.parametrize("chunk", [None, 5])
+def test_keys_are_derived_one_chunk_at_a_time(monkeypatch, chunk):
+    # chunk None keeps the default; 5 is below _MIN_BATCH, so every chunk
+    # takes numpy's per-key route
+    if chunk is not None:
+        monkeypatch.setattr(seeds, "_KEY_CHUNK", chunk)
+    size = seeds._KEY_CHUNK
+    sizes = []
+    original = seeds._states
+
+    def counting(keys, n_words):
+        sizes.append(len(keys))
+        return original(keys, n_words)
+
+    monkeypatch.setattr(seeds, "_states", counting)
+    count = 2 * size + 3
+    got = list(child_seeds((9, t) for t in range(count)))
+    assert got == [child_seed(9, t) for t in range(count)]
+    for t, rng in enumerate(streams((9, t, 1) for t in range(count))):
+        assert rng.bit_generator.state == rng_for(9, t, 1).bit_generator.state, t
+    assert t == count - 1
+    assert sizes == [size, size, 3] * 2
+    # an endless key generator is drawn one chunk at a time
+    assert next(child_seeds((9, t) for t in itertools.count())) == child_seed(9, 0)
+    assert next(streams((9, t, 1) for t in itertools.count())).bit_generator.state == (
+        rng_for(9, 0, 1).bit_generator.state)
+    assert max(sizes) == size

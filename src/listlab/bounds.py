@@ -15,53 +15,18 @@ from __future__ import annotations
 import contextlib
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Real
 
-from .reports import Record, read_section
+from .config import ConstantsConfig
+from .reports import Record
 
 _LOG2 = math.log(2.0)
 
 
 def _log2(x: float) -> float:
     return math.log(float(x)) / _LOG2
-
-
-@dataclass(frozen=True)
-class ConstantsConfig(Record):
-    """Tunable constants for the sampled-code bound and the chaining checks.
-
-    Defaults are 1.0 except the chaining knobs: c1 defaults to 16.0 so the
-    coupling c1 >= 16 * C5 holds at the default C5 = 1.0, and c0 (the list
-    size below which chaining degenerates to a single level) defaults to 16.
-    """
-
-    C0: float = 1.0
-    C3: float = 1.0
-    C4: float = 1.0
-    C5: float = 1.0
-    C6: float = 1.0
-    C7: float = 1.0
-    c0: float = 16.0
-    c1: float = 16.0
-
-    def __post_init__(self):
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
-                raise ValueError(f"constant {f.name} must be a positive finite real, got {v!r}")
-            object.__setattr__(self, f.name, float(v))
-
-    def validate_chaining(self) -> None:
-        """Coupling required whenever the chaining checks run."""
-        if self.c1 < 16 * self.C5:
-            raise ValueError(f"chaining requires c1 >= 16*C5, got c1={self.c1}, C5={self.C5}")
-
-
-def constants_from_dict(doc: dict) -> ConstantsConfig:
-    known = [f.name for f in fields(ConstantsConfig)]
-    return ConstantsConfig(**read_section(doc, known, "constants"))
 
 
 @dataclass(frozen=True)

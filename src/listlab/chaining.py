@@ -23,8 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bounds import ConstantsConfig
-from .config import Budgets
+from .config import Budgets, ConstantsConfig
 from .linear_code import LinearCode, lex_digits
 from .plurality import (
     CodeFamily,

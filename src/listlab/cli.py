@@ -18,44 +18,8 @@ import sys
 import time
 from fractions import Fraction
 
-from .bounds import capacity_rate, capacity_rate_small_eps, evaluate_bound, is_large_q, rate_summary
-from .chaining import (
-    build_nets,
-    chain_params,
-    concentration_check,
-    gaussian_supremum_experiment,
-    symmetrization_check,
-)
 from .config import RunConfig, load_config
 from .errors import InfeasibleError
-from .galois import Field, field_new
-from .harness import experiment_beyond_johnson, experiment_corollary, invariant_suite
-from .linear_code import (
-    LinearCode,
-    code_from_json_dict,
-    full_rs_code,
-    hadamard_code,
-    puncture_code,
-    rs_code,
-    sample_code,
-)
-from .oracle import (
-    AVERAGE_RADIUS,
-    STANDARD,
-    VIOLATED,
-    ListDecQuery,
-    certificate_from_json_dict,
-    decoding_radius_profile,
-    is_avg_radius_list_decodable,
-    is_list_decodable,
-)
-from .plurality import (
-    CodeFamily,
-    MessageSet,
-    max_agreement_sum,
-    plurality_mass,
-    plurality_profile,
-)
 from .reports import REPO_CSV_COLUMNS, build_report, emit, render_csv, render_json
 
 
@@ -66,7 +30,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("json", "csv"), default="json")
 
 
-def _parse_messages(text: str) -> MessageSet:
+def _parse_messages(text: str):
+    from .plurality import MessageSet
+
     groups = [g for g in text.split(";") if g.strip()]
     msgs = tuple(tuple(int(v) for v in g.split(",")) for g in groups)
     return MessageSet(msgs)
@@ -89,18 +55,22 @@ def _load_document(path: str, key: str) -> dict:
     return doc
 
 
-def _load_code(path: str) -> LinearCode:
+def _load_code(path: str):
+    from .linear_code import code_from_json_dict
+
     return code_from_json_dict(_load_document(path, "code"))
 
 
-def _default_messages(code: LinearCode, size: int) -> MessageSet:
+def _default_messages(code, size: int):
+    from .plurality import MessageSet
+
     q, k = code.field.q, code.k
     if size > q**k:
         raise ValueError(f"list size {size} exceeds message count {q**k}")
     return MessageSet.from_indices(q, k, range(size))
 
 
-def _resolve_messages(args, code: LinearCode) -> MessageSet:
+def _resolve_messages(args, code):
     if getattr(args, "messages", None):
         return _parse_messages(args.messages)
     if getattr(args, "list_size", None):
@@ -108,7 +78,10 @@ def _resolve_messages(args, code: LinearCode) -> MessageSet:
     raise ValueError("provide --messages or --list-size")
 
 
-def _make_code(args, cfg: RunConfig) -> LinearCode:
+def _make_code(args, cfg: RunConfig):
+    from .galois import field_new
+    from .linear_code import full_rs_code, hadamard_code, puncture_code, rs_code, sample_code
+
     field = field_new(args.q)
     kind = args.kind
     if kind == "rs":
@@ -170,7 +143,8 @@ def build_parser() -> argparse.ArgumentParser:
     po.add_argument("--code", required=True)
     po.add_argument("--radius", required=True, help="decoding radius, e.g. 1/2")
     po.add_argument("--list-bound", type=int, required=True)
-    po.add_argument("--mode", choices=(STANDARD, AVERAGE_RADIUS), default=STANDARD)
+    # oracle.STANDARD and oracle.AVERAGE_RADIUS, spelled out so that parsing imports no oracle
+    po.add_argument("--mode", choices=("standard", "average-radius"), default="standard")
     po.add_argument("--sample-received", type=int, help="sampled scan instead of exhaustive")
     _add_common(po)
     pv = oracle_sub.add_parser("verify")
@@ -260,17 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _field_info(f: Field) -> dict:
-    return {
-        "q": f.q,
-        "kind": f.kind,
-        "characteristic": f.characteristic,
-        "degree": f.degree,
-        "poly": f.poly,
-    }
-
-
-def _code_info(code: LinearCode, cfg: RunConfig) -> dict:
+def _code_info(code, cfg: RunConfig) -> dict:
     info = {
         "q": code.field.q,
         "n": code.n,
@@ -288,199 +252,271 @@ def _code_info(code: LinearCode, cfg: RunConfig) -> dict:
     return info
 
 
+# One runner per command group. Every CLI command starts a fresh interpreter,
+# which pays to import each module it loads, so a runner imports the listlab
+# modules its group calls when it runs, and this module loads only config,
+# errors and reports.
+
+
+def _run_field(args, cfg: RunConfig):
+    from .galois import field_new
+
+    f = field_new(args.q)
+    info = {
+        "q": f.q,
+        "kind": f.kind,
+        "characteristic": f.characteristic,
+        "degree": f.degree,
+        "poly": f.poly,
+    }
+    return info, None, 0
+
+
+def _run_code(args, cfg: RunConfig):
+    if args.action == "make":
+        code = _make_code(args, cfg)
+        return {"code": code.as_dict(), "info": _code_info(code, cfg)}, None, 0
+    code = _load_code(args.code)
+    if args.action == "info":
+        return _code_info(code, cfg), None, 0
+    return {"code": code.as_dict()}, None, 0
+
+
+def _run_oracle(args, cfg: RunConfig):
+    from .oracle import (
+        AVERAGE_RADIUS,
+        STANDARD,
+        VIOLATED,
+        ListDecQuery,
+        certificate_from_json_dict,
+        decoding_radius_profile,
+        is_avg_radius_list_decodable,
+        is_list_decodable,
+    )
+
+    if args.action == "check" and args.mode == AVERAGE_RADIUS and args.sample_received:
+        raise ValueError("--sample-received applies to --mode standard only")
+    if args.action == "verify":
+        cert = certificate_from_json_dict(_load_document(args.certificate, "certificate"))
+        verified = cert.verify(budgets=cfg.budgets)
+        return {"certificate": cert.as_dict(), "verified": verified}, None, 0 if verified else 1
+    code = _load_code(args.code)
+    if args.action == "check":
+        query = ListDecQuery(_fraction(args.radius, "--radius"), args.list_bound, args.mode)
+        if args.mode == STANDARD:
+            cert = is_list_decodable(
+                code,
+                query,
+                budgets=cfg.budgets,
+                sample_received=args.sample_received,
+                seed=args.seed,
+            )
+        else:
+            cert = is_avg_radius_list_decodable(code, query, budgets=cfg.budgets)
+        code_result = 1 if cert.verdict == VIOLATED else 0
+        return {"certificate": cert.as_dict()}, None, code_result
+    profile = decoding_radius_profile(code, args.max_list_size, budgets=cfg.budgets)
+    rows = [[r.list_size, str(r.standard_radius), str(r.average_radius)] for r in profile]
+    return {"profile": [r.as_dict() for r in profile]}, rows, 0
+
+
+def _run_bounds(args, cfg: RunConfig):
+    from .bounds import (
+        capacity_rate,
+        capacity_rate_small_eps,
+        evaluate_bound,
+        is_large_q,
+        rate_summary,
+    )
+
+    if args.action == "eval":
+        params = json.loads(args.params)
+        rep = evaluate_bound(args.name, params, cfg.constants)
+        return {"bound": rep.as_dict()}, None, 0
+    qs = [int(v) for v in args.q_grid.split(",")]
+    epss = [_fraction(v, "--eps-grid") for v in args.eps_grid.split(",")]
+    table = []
+    for q in qs:
+        for eps in epss:
+            s = rate_summary(q, float(eps), cfg.constants)
+            regime = "large-q" if is_large_q(q, eps) else "small-q"
+            cap = capacity_rate(q, float(eps))
+            cap_small = capacity_rate_small_eps(q, float(eps))
+            row = {
+                "q": q,
+                "eps": str(eps),
+                "regime": regime,
+                "sampled_rate": s.rlc_rate,
+                "rs_rate": s.rs_rate,
+                "johnson_rate": s.johnson_rate,
+                "capacity": cap,
+                "capacity_small_eps": cap_small,
+                "beats_johnson": s.beats_johnson,
+            }
+            table.append(row)
+    return {"table": table}, [list(row.values()) for row in table], 0
+
+
+def _run_plurality(args, cfg: RunConfig):
+    from .plurality import max_agreement_sum, plurality_mass, plurality_profile
+
+    code = _load_code(args.code)
+    if args.action == "Q":
+        mass = plurality_mass(
+            code,
+            args.list_size,
+            args.mode,
+            trials=args.trials,
+            seed=args.seed,
+            budgets=cfg.budgets,
+        )
+        return {"mass": mass.as_dict()}, None, 0
+    lam = _parse_messages(args.messages)
+    if args.action == "profile":
+        prof = plurality_profile(code, lam)
+        return (
+            {
+                "pl": [str(v) for v in prof.pl],
+                "counts": list(prof.counts),
+                "maximizers": list(prof.maximizers),
+            },
+            None,
+            0,
+        )
+    total, witness = max_agreement_sum(code, lam)
+    return {"total_agreement": total, "witness": list(witness)}, None, 0
+
+
+def _run_chain(args, cfg: RunConfig):
+    from .chaining import (
+        build_nets,
+        chain_params,
+        concentration_check,
+        gaussian_supremum_experiment,
+        symmetrization_check,
+    )
+    from .galois import field_new
+    from .plurality import CodeFamily
+
+    if args.action == "symmetrize":
+        if args.family == "fixed":
+            if not args.code:
+                raise ValueError("--family fixed needs --code")
+            fam = CodeFamily("fixed", code=_load_code(args.code))
+        else:
+            if args.q is None or args.k is None or args.n is None:
+                raise ValueError("sampled families need --q, --k, and --n")
+            fam = CodeFamily(args.family, field=field_new(args.q), k=args.k, n=args.n)
+        rep = symmetrization_check(
+            fam, args.list_size, trials=args.trials, seed=args.seed,
+            n_candidates=args.candidates,
+        )
+        return {"symmetrization": rep.as_dict()}, None, 0
+    if args.action == "mc" and args.check == "supremum" and args.messages:
+        raise ValueError("--check supremum draws its own message sets: use --list-size")
+    code = _load_code(args.code)
+    lam = _resolve_messages(args, code)
+    if args.action == "build":
+        params = chain_params(
+            len(lam), cfg.constants, args.eta, retry_limit=args.retry_limit
+        )
+        res = build_nets(code, lam, seed=args.seed, params=params)
+        rows = [
+            [
+                lv.level, lv.lam_size, len(lv.coords), str(lv.pl_sum),
+                lv.q_bound, lv.retries, lv.step_distance, lv.width_rhs,
+                lv.holder_lhs, lv.holder_rhs,
+            ]
+            for lv in res.levels
+        ]
+        return {"net": res.as_dict()}, rows, 0
+    if args.check == "concentration":
+        rep = concentration_check(
+            code, lam, trials=args.trials, seed=args.seed, cfg=cfg.constants,
+            budgets=cfg.budgets,
+        )
+        return {"concentration": rep.as_dict()}, None, 0
+    rep = gaussian_supremum_experiment(
+        code,
+        len(lam),
+        n_candidates=args.candidates,
+        trials=args.trials,
+        seed=args.seed,
+        cfg=cfg.constants,
+        budgets=cfg.budgets,
+    )
+    return {"supremum": rep.as_dict()}, None, 0
+
+
+def _run_experiment(args, cfg: RunConfig):
+    from .harness import experiment_beyond_johnson, experiment_corollary
+
+    if args.action == "corollary":
+        rep = experiment_corollary(
+            args.variant,
+            args.q,
+            _fraction(args.eps, "--eps"),
+            args.k,
+            draws=args.draws,
+            cfg=cfg.constants,
+            seed=args.seed,
+            budgets=cfg.budgets,
+            n_override=args.n,
+            allow_sampled=args.allow_sampled,
+            require_success_rate=args.require_success_rate,
+        )
+        failed = rep.verdicts.get("passed") is False
+        return {"experiment": rep.as_dict()}, None, 1 if failed else 0
+    rep = experiment_beyond_johnson(
+        q=args.q,
+        k=args.k,
+        n=args.n,
+        l_cap=args.l_cap,
+        n_seeds=args.seeds_count,
+        seed=args.seed,
+        budgets=cfg.budgets,
+    )
+    rows = [
+        [
+            r["seed_index"], r["distance"], r["johnson_radius"],
+            r["johnson_clamped"],
+            ";".join(r["standard_radii"]), ";".join(r["average_radii"]),
+            ";".join(str(v) for v in r["beyond_at"]),
+        ]
+        for r in rep.measurements["rows"]
+    ]
+    return {"experiment": rep.as_dict()}, rows, 0
+
+
+def _run_suite(args, cfg: RunConfig):
+    from .harness import invariant_suite
+
+    res = invariant_suite(args.scope, seed=args.seed)
+    return {"suite": res.as_dict()}, None, 0 if res.passed else 1
+
+
+_RUNNERS = {
+    "field": _run_field,
+    "code": _run_code,
+    "oracle": _run_oracle,
+    "bounds": _run_bounds,
+    "plurality": _run_plurality,
+    "chain": _run_chain,
+    "experiment": _run_experiment,
+    "suite": _run_suite,
+}
+
+
 def _run(args, cfg: RunConfig) -> tuple[dict, list[list] | None, int]:
     """Execute one parsed command.
 
     Returns (results, csv_rows, exit_code); csv_rows is None when the
     command has no tabular form (no entry in REPO_CSV_COLUMNS).
     """
-    code_arg = getattr(args, "code", None)
-
-    if args.group == "field":
-        return _field_info(field_new(args.q)), None, 0
-
-    if args.group == "code":
-        if args.action == "make":
-            code = _make_code(args, cfg)
-            return {"code": code.as_dict(), "info": _code_info(code, cfg)}, None, 0
-        code = _load_code(code_arg)
-        if args.action == "info":
-            return _code_info(code, cfg), None, 0
-        return {"code": code.as_dict()}, None, 0
-
-    if args.group == "oracle":
-        if args.action == "check" and args.mode == AVERAGE_RADIUS and args.sample_received:
-            raise ValueError("--sample-received applies to --mode standard only")
-        if args.action == "verify":
-            cert = certificate_from_json_dict(_load_document(args.certificate, "certificate"))
-            verified = cert.verify(budgets=cfg.budgets)
-            return {"certificate": cert.as_dict(), "verified": verified}, None, 0 if verified else 1
-        code = _load_code(code_arg)
-        if args.action == "check":
-            query = ListDecQuery(_fraction(args.radius, "--radius"), args.list_bound, args.mode)
-            if args.mode == STANDARD:
-                cert = is_list_decodable(
-                    code,
-                    query,
-                    budgets=cfg.budgets,
-                    sample_received=args.sample_received,
-                    seed=args.seed,
-                )
-            else:
-                cert = is_avg_radius_list_decodable(code, query, budgets=cfg.budgets)
-            code_result = 1 if cert.verdict == VIOLATED else 0
-            return {"certificate": cert.as_dict()}, None, code_result
-        profile = decoding_radius_profile(code, args.max_list_size, budgets=cfg.budgets)
-        rows = [[r.list_size, str(r.standard_radius), str(r.average_radius)] for r in profile]
-        return {"profile": [r.as_dict() for r in profile]}, rows, 0
-
-    if args.group == "bounds":
-        if args.action == "eval":
-            params = json.loads(args.params)
-            rep = evaluate_bound(args.name, params, cfg.constants)
-            return {"bound": rep.as_dict()}, None, 0
-        qs = [int(v) for v in args.q_grid.split(",")]
-        epss = [_fraction(v, "--eps-grid") for v in args.eps_grid.split(",")]
-        table = []
-        for q in qs:
-            for eps in epss:
-                s = rate_summary(q, float(eps), cfg.constants)
-                regime = "large-q" if is_large_q(q, eps) else "small-q"
-                cap = capacity_rate(q, float(eps))
-                cap_small = capacity_rate_small_eps(q, float(eps))
-                row = {
-                    "q": q,
-                    "eps": str(eps),
-                    "regime": regime,
-                    "sampled_rate": s.rlc_rate,
-                    "rs_rate": s.rs_rate,
-                    "johnson_rate": s.johnson_rate,
-                    "capacity": cap,
-                    "capacity_small_eps": cap_small,
-                    "beats_johnson": s.beats_johnson,
-                }
-                table.append(row)
-        return {"table": table}, [list(row.values()) for row in table], 0
-
-    if args.group == "plurality":
-        code = _load_code(code_arg)
-        if args.action == "Q":
-            mass = plurality_mass(
-                code,
-                args.list_size,
-                args.mode,
-                trials=args.trials,
-                seed=args.seed,
-                budgets=cfg.budgets,
-            )
-            return {"mass": mass.as_dict()}, None, 0
-        lam = _parse_messages(args.messages)
-        if args.action == "profile":
-            prof = plurality_profile(code, lam)
-            return (
-                {
-                    "pl": [str(v) for v in prof.pl],
-                    "counts": list(prof.counts),
-                    "maximizers": list(prof.maximizers),
-                },
-                None,
-                0,
-            )
-        total, witness = max_agreement_sum(code, lam)
-        return {"total_agreement": total, "witness": list(witness)}, None, 0
-
-    if args.group == "chain":
-        if args.action == "symmetrize":
-            if args.family == "fixed":
-                if not args.code:
-                    raise ValueError("--family fixed needs --code")
-                fam = CodeFamily("fixed", code=_load_code(args.code))
-            else:
-                if args.q is None or args.k is None or args.n is None:
-                    raise ValueError("sampled families need --q, --k, and --n")
-                fam = CodeFamily(args.family, field=field_new(args.q), k=args.k, n=args.n)
-            rep = symmetrization_check(
-                fam, args.list_size, trials=args.trials, seed=args.seed,
-                n_candidates=args.candidates,
-            )
-            return {"symmetrization": rep.as_dict()}, None, 0
-        if args.action == "mc" and args.check == "supremum" and args.messages:
-            raise ValueError("--check supremum draws its own message sets: use --list-size")
-        code = _load_code(code_arg)
-        lam = _resolve_messages(args, code)
-        if args.action == "build":
-            params = chain_params(
-                len(lam), cfg.constants, args.eta, retry_limit=args.retry_limit
-            )
-            res = build_nets(code, lam, seed=args.seed, params=params)
-            rows = [
-                [
-                    lv.level, lv.lam_size, len(lv.coords), str(lv.pl_sum),
-                    lv.q_bound, lv.retries, lv.step_distance, lv.width_rhs,
-                    lv.holder_lhs, lv.holder_rhs,
-                ]
-                for lv in res.levels
-            ]
-            return {"net": res.as_dict()}, rows, 0
-        if args.check == "concentration":
-            rep = concentration_check(
-                code, lam, trials=args.trials, seed=args.seed, cfg=cfg.constants,
-                budgets=cfg.budgets,
-            )
-            return {"concentration": rep.as_dict()}, None, 0
-        rep = gaussian_supremum_experiment(
-            code,
-            len(lam),
-            n_candidates=args.candidates,
-            trials=args.trials,
-            seed=args.seed,
-            cfg=cfg.constants,
-            budgets=cfg.budgets,
-        )
-        return {"supremum": rep.as_dict()}, None, 0
-
-    if args.group == "experiment":
-        if args.action == "corollary":
-            rep = experiment_corollary(
-                args.variant,
-                args.q,
-                _fraction(args.eps, "--eps"),
-                args.k,
-                draws=args.draws,
-                cfg=cfg.constants,
-                seed=args.seed,
-                budgets=cfg.budgets,
-                n_override=args.n,
-                allow_sampled=args.allow_sampled,
-                require_success_rate=args.require_success_rate,
-            )
-            failed = rep.verdicts.get("passed") is False
-            return {"experiment": rep.as_dict()}, None, 1 if failed else 0
-        rep = experiment_beyond_johnson(
-            q=args.q,
-            k=args.k,
-            n=args.n,
-            l_cap=args.l_cap,
-            n_seeds=args.seeds_count,
-            seed=args.seed,
-            budgets=cfg.budgets,
-        )
-        rows = [
-            [
-                r["seed_index"], r["distance"], r["johnson_radius"],
-                r["johnson_clamped"],
-                ";".join(r["standard_radii"]), ";".join(r["average_radii"]),
-                ";".join(str(v) for v in r["beyond_at"]),
-            ]
-            for r in rep.measurements["rows"]
-        ]
-        return {"experiment": rep.as_dict()}, rows, 0
-
-    if args.group == "suite":
-        res = invariant_suite(args.scope, seed=args.seed)
-        return {"suite": res.as_dict()}, None, 0 if res.passed else 1
-
-    raise ValueError(f"unknown command group {args.group!r}")
+    runner = _RUNNERS.get(args.group)
+    if runner is None:
+        raise ValueError(f"unknown command group {args.group!r}")
+    return runner(args, cfg)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -508,8 +544,10 @@ def main(argv: list[str] | None = None) -> int:
         )
         # a NaN or infinity in the report is a ValueError here, not a non-JSON token
         text = render_csv(header, rows) if args.format == "csv" else render_json(report)
-    except (InfeasibleError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (InfeasibleError, ValueError, OSError, MemoryError) as exc:
+        # numpy's allocation failures subclass MemoryError; one raised by the
+        # interpreter itself has no message
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
     try:
         emit(text, args.out)

@@ -18,7 +18,6 @@ from itertools import combinations, product
 import numpy as np
 
 from .bounds import (
-    ConstantsConfig,
     corollary_list_size,
     decodable_blocklength,
     is_large_q,
@@ -34,7 +33,7 @@ from .chaining import (
     net_invariant_violations,
     symmetrization_check,
 )
-from .config import Budgets
+from .config import Budgets, ConstantsConfig
 from .galois import check_field_order, field_new
 from .linear_code import (
     LinearCode,

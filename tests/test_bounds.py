@@ -12,7 +12,6 @@ from listlab.bounds import (
     ConstantsConfig,
     capacity_rate,
     capacity_rate_small_eps,
-    constants_from_dict,
     decodable_blocklength,
     evaluate_bound,
     gaussian_max_bound,
@@ -24,6 +23,7 @@ from listlab.bounds import (
     rate_summary,
     root_bound_exceeded,
 )
+from listlab.config import constants_from_dict
 from listlab.galois import field_new
 from listlab.linear_code import LinearCode
 from listlab.plurality import agreement

@@ -1,5 +1,6 @@
 """End-to-end CLI tests: exit codes, file outputs, determinism, CSV forms."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -14,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import listlab
-from listlab import cli, plurality
+from listlab import cli, oracle, plurality
 from listlab.bounds import _real
 from listlab.cli import main
 from listlab.linear_code import lex_digits
@@ -582,6 +583,19 @@ def test_non_finite_result_is_a_usage_error(monkeypatch):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("exc, line", [
+    # numpy's allocation failures subclass MemoryError and name the allocation
+    (MemoryError("Unable to allocate 21.8 TiB"), "error: Unable to allocate 21.8 TiB\n"),
+    (MemoryError(), "error: MemoryError\n"),  # as the interpreter raises it
+])
+def test_out_of_memory_is_a_usage_error(monkeypatch, exc, line):
+    def run(args, cfg):
+        raise exc
+
+    monkeypatch.setattr(cli, "_run", run)
+    assert _usage_error(["field", "--q", "5"]) == line
+
+
 def test_candidate_sets_past_int64_message_indices_are_usage_errors():
     # 256^8 = 2^64 messages: their indices do not fit in an int64
     err = _usage_error([
@@ -776,3 +790,51 @@ def test_huge_list_size_options_exit_promptly_without_a_traceback(rs_path, tmp_p
                "budget 4194304: every longer list decodes at radius 1\n")
     assert [r[1:] for r in results if "--max-list-size" in r[0] or "--l-cap" in r[0]] == (
         [[2, refusal]] * 2)
+
+
+def test_oracle_modes_match_the_oracle_module():
+    # the parser spells the modes out, so that building it imports no oracle
+    parser = cli.build_parser()
+    for name in ("oracle", "check"):
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        parser = sub.choices[name]
+    mode = next(a for a in parser._actions if a.dest == "mode")
+    assert mode.choices == (oracle.STANDARD, oracle.AVERAGE_RADIUS)
+    assert mode.default == oracle.STANDARD
+
+
+_FRESH = """
+import contextlib, io, json, sys
+import listlab
+from listlab.cli import main
+
+def run(argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+
+def loaded():
+    return sorted(m.removeprefix("listlab.") for m in sys.modules if m.startswith("listlab."))
+
+run(["bounds", "eval", "--name", "gaussian-max", "--params", '{"sigma": 1.0, "n": 1000}'])
+print(json.dumps(["numpy" in sys.modules, loaded()]))
+run(["code", "make", "--kind", "rs", "--q", "5", "--k", "2", "--evals", "0,1,2,3"])
+print(json.dumps(loaded()))
+for name in sys.argv[1:]:
+    getattr(listlab, name)
+print(json.dumps(loaded()))
+"""
+
+
+def test_a_fresh_interpreter_loads_only_the_modules_its_commands_run():
+    # every CLI command starts a new interpreter, which pays for each module it
+    # imports; bench/tracer.py reads every module as an attribute of the package
+    modules = sorted(p.stem for p in Path(listlab.__file__).parent.glob("[!_]*.py"))
+    env = {**os.environ, "PYTHONPATH": str(Path(listlab.__file__).parents[1])}
+    run = subprocess.run([sys.executable, "-c", _FRESH, *modules], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    after_bounds, after_code, after_getattr = map(json.loads, run.stdout.splitlines())
+    assert after_bounds == [False, ["bounds", "cli", "config", "errors", "reports"]]
+    assert after_code == ["bounds", "cli", "config", "errors", "galois", "linear_code",
+                          "reports", "seeds"]
+    assert after_getattr == modules

@@ -1,6 +1,7 @@
 """Static checks of the package sources: no unused top-level import, no
-private name imported from another listlab module unless it is listed, and
-numpy's stream constructors named only in `seeds`."""
+private name imported from another listlab module unless it is listed,
+numpy's stream constructors named only in `seeds`, and `cli` and `config`
+importing no domain module when they load."""
 
 from __future__ import annotations
 
@@ -54,6 +55,11 @@ def _private_imports(name: str, tree: ast.Module) -> set[tuple[str, str, str]]:
 
 def test_sources_found():
     assert len(SOURCES) >= 10
+
+
+def test_every_module_resolves_as_a_package_attribute():
+    # the names the package's __getattr__ imports on first access
+    assert listlab._SUBMODULES == {p.stem for p in SOURCES}
 
 
 def test_no_unused_top_level_imports():
@@ -113,3 +119,57 @@ def test_rng_constructor_detector():
         "def f(SeedSequence):\n    return SeedSequence\n"
     )
     assert _rng_constructors(tree) == {"default_rng", "PCG64", "SeedSequence"}
+
+
+# listlab modules that a module may import as it loads; any other it imports
+# inside the function that uses it. `cli` loads a command group's modules when
+# the group runs, and `config` is a leaf that every domain module imports.
+LOAD_TIME_IMPORTS = {
+    "cli": {"config", "errors", "reports"},
+    "config": {"errors", "reports"},
+}
+
+
+def _load_time_imports(tree: ast.AST) -> set[tuple[int, str]]:
+    """(line, module) of each listlab module imported outside a function body."""
+    found = set()
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.Import):
+            found |= {
+                (node.lineno, a.name.removeprefix("listlab."))
+                for a in node.names if a.name.startswith("listlab.")
+            }
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level or module == "listlab" or module.startswith("listlab."):
+                source = module.removeprefix("listlab").lstrip(".")
+                found |= {(node.lineno, source or a.name) for a in node.names}
+        found |= _load_time_imports(node)
+    return found
+
+
+def test_cli_and_config_import_no_domain_module_as_they_load():
+    extra = [
+        f"{name}.py line {line}: imports {module}"
+        for name, allowed in LOAD_TIME_IMPORTS.items()
+        for line, module in sorted(_load_time_imports(
+            ast.parse((SOURCES[0].parent / f"{name}.py").read_text(encoding="utf-8"))
+        ))
+        if module not in allowed
+    ]
+    assert not extra, extra
+
+
+def test_load_time_import_detector():
+    tree = ast.parse(
+        "import numpy\nimport listlab.seeds\nfrom .galois import f\nfrom . import oracle\n"
+        "from listlab import bounds\nfrom listlab.errors import E\nif True:\n"
+        "    from .plurality import g\nclass C:\n    from .chaining import h\n"
+        "def run():\n    from .harness import i\n"
+    )
+    assert _load_time_imports(tree) == {
+        (2, "seeds"), (3, "galois"), (4, "oracle"), (5, "bounds"), (6, "errors"),
+        (8, "plurality"), (10, "chaining"),
+    }

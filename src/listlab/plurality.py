@@ -131,23 +131,23 @@ def max_agreement_sum(code: LinearCode, lam: MessageSet) -> tuple[int, tuple[int
 
 def iter_received_blocks(q: int, n: int, chunk: int = 1 << 14):
     """Yield (start_index, block) over all q^n received words in lexicographic
-    order, first coordinate most significant, as fresh column-major blocks."""
+    order, first coordinate most significant, as column-major views of one
+    buffer per call: each block is valid until the next one is drawn."""
     total = q**n
     # with chunk a multiple of q^r, blocks are whole runs of the last r
-    # coordinates: those columns repeat one table, the others are constant
-    # along a run
+    # coordinates: those columns repeat one table, written once, the others
+    # are constant along a run
     r = 0
     while r < n and chunk % q ** (r + 1) == 0:
         r += 1
     run = q**r
-    tail = lex_digits(q, r, np.arange(run))
+    # coordinate-major, so the two kinds of column take one broadcast each
+    buf = np.empty((n, min(chunk, total) // run, run), dtype=np.int64)
+    buf[n - r :] = lex_digits(q, r, np.arange(run))[:, None, :]
     for start in range(0, total, chunk):
         runs = np.arange(start // run, min(start + chunk, total) // run)
-        # coordinate-major, so the two kinds of column take one broadcast each
-        block = np.empty((n, len(runs), run), dtype=np.int64)
-        block[n - r :] = tail[:, None, :]
-        block[: n - r] = lex_digits(q, n - r, runs)[:, :, None]
-        yield start, block.reshape(n, -1).T
+        buf[: n - r, : len(runs)] = lex_digits(q, n - r, runs)[:, :, None]
+        yield start, buf[:, : len(runs)].reshape(n, -1).T
 
 
 def agreement_block(received: np.ndarray, words: np.ndarray) -> np.ndarray:

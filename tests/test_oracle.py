@@ -39,7 +39,6 @@ from listlab.oracle import (
 )
 from listlab.plurality import (
     agreement_block,
-    iter_received_blocks,
     plurality_mass,
     top_agreement_scan,
 )
@@ -363,7 +362,7 @@ def _reference_agreements(code):
     """Codewords, all q^n received words in lexicographic order, and their
     (q^n, N) agreement matrix."""
     words = code.codeword_matrix()
-    received = np.concatenate([b for _, b in iter_received_blocks(code.field.q, code.n, 97)])
+    received = lex_digits(code.field.q, code.n, np.arange(code.field.q**code.n)).T
     return words, received, agreement_block(received, words)
 
 

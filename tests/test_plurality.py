@@ -73,11 +73,47 @@ def test_agreement_complements_hamming_distance(pairs):
 @pytest.mark.parametrize("q,n", [(2, 1), (3, 4), (4, 3), (5, 2)])
 @pytest.mark.parametrize("chunk", [1, 3, 7, 16, 25, 64, 1 << 14])
 def test_received_blocks_enumerate_lexicographically(q, n, chunk):
-    blocks = list(iter_received_blocks(q, n, chunk))
+    # copied as drawn: a block is valid only until the next one is drawn
+    blocks = [(s, b.copy()) for s, b in iter_received_blocks(q, n, chunk)]
     assert [s for s, _ in blocks] == list(range(0, q**n, chunk))
     words = np.concatenate([b for _, b in blocks])
     assert words.dtype == np.int64
     assert words.tolist() == [list(w) for w in itertools.product(range(q), repeat=n)]
+
+
+class _CountingNumpy:
+    """numpy as seen by one module, counting that module's np.empty calls."""
+
+    def __init__(self):
+        self.empties = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def empty(self, *args, **kwargs):
+        self.empties += 1
+        return np.empty(*args, **kwargs)
+
+
+def test_received_blocks_are_views_of_one_buffer(monkeypatch):
+    # 3^4 = 81 words: one word per block, 54 + 27, one whole block, and a
+    # chunk past q^n
+    q, n = 3, 4
+    blocks, empties = [], []
+    for chunk in (1, 54, 81, 100):
+        counting = _CountingNumpy()
+        monkeypatch.setattr("listlab.plurality.np", counting)
+        previous = None
+        for count, (start, block) in enumerate(iter_received_blocks(q, n, chunk), 1):
+            expected = lex_digits(q, n, np.arange(start, start + len(block))).T
+            assert block.dtype == np.int64 and block.strides[0] == block.itemsize
+            assert np.array_equal(block, expected)
+            assert previous is None or np.shares_memory(block, previous)
+            previous = block
+        blocks.append(count)
+        empties.append(counting.empties)
+    assert blocks == [81, 2, 1, 1]
+    assert empties == [empties[0]] * 4
 
 
 def test_message_set_from_indices_is_lexicographic():
